@@ -28,9 +28,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ParameterError, ResourceCapError
-from .monomials import (Monomial, MonomialIdeal, VariableSet, lcm_lattice,
-                        minimalize, polarize)
+from .errors import ParameterError, check_deadline
+from .monomials import (Monomial, MonomialIdeal, VariableSet, _divided,
+                        _support_mask, lcm_lattice, minimal_rows, polarize)
 
 _INFINITE_DEPTH = 10 ** 9  # stands in for depth of the zero module S/S
 
@@ -94,7 +94,7 @@ class BettiTable:
 # exact rank computations mod p
 # ---------------------------------------------------------------------------
 
-def _rank_mod_p(rows, ncols: int, p: int) -> int:
+def _rank_mod_p(rows, ncols: int, p: int, deadline=None) -> int:
     """Rank of a sparse +-1 integer matrix over GF(p).
 
     rows: list of [(col, coeff), ...].  Dense elimination in int64; p*p must
@@ -109,6 +109,7 @@ def _rank_mod_p(rows, ncols: int, p: int) -> int:
     rank = 0
     nrows = len(rows)
     for col in range(ncols):
+        check_deadline(deadline)
         piv = None
         for i in range(rank, nrows):
             if A[i, col]:
@@ -130,7 +131,7 @@ def _rank_mod_p(rows, ncols: int, p: int) -> int:
     return rank
 
 
-def _reduced_homology(faces_by_dim: dict, p: int) -> dict:
+def _reduced_homology(faces_by_dim: dict, p: int, deadline=None) -> dict:
     """Reduced Betti numbers over GF(p) of a complex given as
     {dimension: [frozenset vertices, ...]} including the empty face at -1."""
     index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces_by_dim.items()}
@@ -145,7 +146,7 @@ def _reduced_homology(faces_by_dim: dict, p: int) -> dict:
             verts = sorted(f)
             rows.append([(lower[f - {v}], -1 if pos & 1 else 1)
                          for pos, v in enumerate(verts)])
-        boundary_rank[d] = _rank_mod_p(rows, len(faces_by_dim[d - 1]), p)
+        boundary_rank[d] = _rank_mod_p(rows, len(faces_by_dim[d - 1]), p, deadline)
     betti = {}
     for d, fs in faces_by_dim.items():
         b = len(fs) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
@@ -158,7 +159,7 @@ def _reduced_homology(faces_by_dim: dict, p: int) -> dict:
 # Betti numbers from the lcm lattice
 # ---------------------------------------------------------------------------
 
-def _strand_homology(atom_rows, target, p: int) -> dict:
+def _strand_homology(atom_rows, target, p: int, deadline=None) -> dict:
     """Reduced homology of {B subset of atoms : lcm(B) proper divisor of target}.
 
     Subsets are grown depth-first; once a subset's lcm reaches the target all
@@ -168,6 +169,7 @@ def _strand_homology(atom_rows, target, p: int) -> dict:
     faces_by_dim: dict[int, list] = {-1: [frozenset()]}
 
     def grow(chosen, current, start):
+        check_deadline(deadline)
         for nxt in range(start, n_atoms):
             merged = tuple(max(a, b) for a, b in zip(current, atom_rows[nxt]))
             if merged == target:
@@ -179,25 +181,30 @@ def _strand_homology(atom_rows, target, p: int) -> dict:
 
     zero = tuple(0 for _ in target)
     grow([], zero, 0)
-    return _reduced_homology(faces_by_dim, p)
+    return _reduced_homology(faces_by_dim, p, deadline)
 
 
 def betti_numbers(ideal: MonomialIdeal, field_char: int = 32003,
-                  cap: int | None = None) -> BettiTable:
-    """Multigraded Betti numbers of S/I via lcm-lattice strand homology."""
+                  cap: int | None = None,
+                  deadline: float | None = None) -> BettiTable:
+    """Multigraded Betti numbers of S/I via lcm-lattice strand homology.
+
+    ``deadline`` is a ``time.monotonic()`` instant; past it the computation
+    raises :class:`ResourceCapError`.
+    """
     _check_prime(field_char)
     if ideal.is_zero():
         raise ParameterError("Betti numbers of the zero ideal are trivial; not supported")
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
-    lattice = lcm_lattice(ideal, cap=cap)
+    lattice = lcm_lattice(ideal, cap=cap, deadline=deadline)
     entries = {(0, Monomial.one(ideal.ambient)): 1}
     gen_rows = ideal.exponent_rows()
     for m in lattice.elements:
         target = m.exponents
         atoms = [r for r in gen_rows
                  if all(a <= b for a, b in zip(r, target))]
-        hom = _strand_homology(atoms, target, field_char)
+        hom = _strand_homology(atoms, target, field_char, deadline)
         for j, rank in hom.items():
             entries[(j + 2, m)] = rank
     return BettiTable(ideal.ambient, entries, field_char)
@@ -217,14 +224,14 @@ def depth_via_betti(ideal: MonomialIdeal, field_char: int = 32003,
     return DepthResult(n - pd, pd, n, field_char, "lcm_lattice_homology")
 
 
-def _proj_dim_rows(rows, p: int, cap=None) -> int:
+def _proj_dim_rows(rows, p: int, cap=None, deadline=None) -> int:
     """proj dim of S/I from exponent rows; free variables are irrelevant to
     it, so the rows are shrunk to their joint support first."""
     used = sorted({i for r in rows for i, e in enumerate(r) if e})
-    core = [tuple(r[i] for i in used) for r in rows]
+    core = minimal_rows(tuple(r[i] for i in used) for r in rows)
     amb = VariableSet(tuple(f"t{i}" for i in range(len(used))))
-    ideal = minimalize([Monomial(amb, r) for r in core], ambient=amb)
-    table = betti_numbers(ideal, p, cap=cap)
+    ideal = MonomialIdeal(amb, [Monomial(amb, r) for r in core])
+    table = betti_numbers(ideal, p, cap=cap, deadline=deadline)
     return table.proj_dim()
 
 
@@ -232,16 +239,18 @@ def _proj_dim_rows(rows, p: int, cap=None) -> int:
 # production engine: short-exact-sequence splitting
 # ---------------------------------------------------------------------------
 
+# The depth memo lives for the whole process; past this many entries the
+# oldest (first inserted) ones are dropped.  The benchmark's depth-powers
+# pass, the largest user, leaves 2657 entries (about 3.5 MB pickled).
+_SES_MEMO_CAP = 20_000
 _ses_memo: dict = {}
 
 
-def _minimal_rows(rows) -> tuple:
-    rows = sorted(set(rows), key=lambda r: (sum(r), r))
-    kept = []
-    for r in rows:
-        if not any(all(a <= b for a, b in zip(k, r)) for k in kept):
-            kept.append(r)
-    return tuple(kept)
+def _remember(key, d: int) -> int:
+    _ses_memo[key] = d
+    if len(_ses_memo) > _SES_MEMO_CAP:
+        del _ses_memo[next(iter(_ses_memo))]
+    return d
 
 
 def _split_free(rows, nvars):
@@ -274,38 +283,67 @@ def _components(rows, nvars):
     return list(groups.values())
 
 
+def _colon_rows(rows, i):
+    """Minimal generators of (I : x_i), canonically sorted, from the minimal
+    generators ``rows`` of I.
+
+    Lowering a row at i keeps the lowered rows an antichain, and no
+    untouched row (exponent 0 at i) divides a lowered one.  A lowered row
+    divides an untouched row only if it is 0 at i, i.e. its exponent there
+    was 1, so only those are tested against the untouched rows.
+    """
+    lowered, untouched, was_one = [], [], []
+    for r in rows:
+        e = r[i]
+        if e:
+            low = r[:i] + (e - 1,) + r[i + 1:]
+            lowered.append(low)
+            if e == 1:
+                was_one.append(low)
+        else:
+            untouched.append(r)
+    if was_one:
+        masked = [(_support_mask(w), w) for w in was_one]
+        untouched = [u for u in untouched
+                     if not _divided(u, _support_mask(u), masked)]
+    return tuple(sorted(lowered + untouched, key=lambda r: (sum(r), r)))
+
+
 def _depth_rec(rows, nvars, p, deadline) -> int:
+    """depth(S/I) for the minimal generators ``rows`` of I in canonical
+    ``(degree, row)`` order, so that equal ideals share one memo key.
+
+    No split re-minimalizes: the free-variable split, the component split
+    and the sum (I, x_i) each keep a subset of the rows and drop columns
+    that are zero on it, which leaves a minimal set in canonical order; the
+    colon (I : x_i) goes through :func:`_colon_rows`.
+    """
     if not rows:
         return nvars
-    if any(sum(r) == 0 for r in rows):
+    if not any(rows[0]):  # canonical order puts a unit generator first
         return _INFINITE_DEPTH
     key = (rows, nvars, p)
     hit = _ses_memo.get(key)
     if hit is not None:
         return hit
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceCapError("depth computation exceeded its time budget")
+    check_deadline(deadline)
 
     rows2, nv2, nfree = _split_free(rows, nvars)
     if nfree:
-        d = nfree + _depth_rec(_minimal_rows(rows2), nv2, p, deadline)
-        _ses_memo[key] = d
-        return d
+        return _remember(key, nfree + _depth_rec(rows2, nv2, p, deadline))
 
     groups = _components(rows, nvars)
     if len(groups) > 1:
         total = 0
         for idx in groups:
             idx_set = set(idx)
-            sub = [tuple(r[i] for i in idx) for r in rows
-                   if all(e == 0 for j, e in enumerate(r) if j not in idx_set)]
-            total += _depth_rec(_minimal_rows(sub), len(idx), p, deadline)
-        _ses_memo[key] = total
-        return total
+            sub = tuple(tuple(r[i] for i in idx) for r in rows
+                        if all(e == 0 for j, e in enumerate(r) if j not in idx_set))
+            total += _depth_rec(sub, len(idx), p, deadline)
+        return _remember(key, total)
 
     if len(rows) == 1:
-        _ses_memo[key] = nvars - 1
-        return nvars - 1
+        return _remember(key, nvars - 1)
 
     # split on variables, most-used first
     freq = [0] * nvars
@@ -317,35 +355,27 @@ def _depth_rec(rows, nvars, p, deadline) -> int:
 
     candidates = []
     for i in order:
-        colon_rows = _minimal_rows(
-            tuple(r[:i] + (r[i] - 1,) + r[i + 1:] if r[i] else r for r in rows))
-        sum_rows = _minimal_rows(
-            tuple(r[:i] + r[i + 1:] for r in rows if r[i] == 0))
+        colon_rows = _colon_rows(rows, i)
+        sum_rows = tuple(r[:i] + r[i + 1:] for r in rows if r[i] == 0)
         d_colon = _depth_rec(colon_rows, nvars, p, deadline)
         d_sum = _depth_rec(sum_rows, nvars - 1, p, deadline)
         if d_colon <= d_sum:
             # depth lemma forces equality with the colon depth
-            _ses_memo[key] = d_colon
-            return d_colon
+            return _remember(key, d_colon)
         if d_colon > d_sum + 1:
-            _ses_memo[key] = d_sum
-            return d_sum
+            return _remember(key, d_sum)
         candidates.append((d_sum, d_colon))  # undetermined: either value
 
     possible = set(candidates[0])
     for c in candidates[1:]:
         possible &= set(c)
     if len(possible) == 1:
-        d = possible.pop()
-        _ses_memo[key] = d
-        return d
+        return _remember(key, possible.pop())
     if not possible:
         raise AssertionError("inconsistent depth constraints; this is a bug")
 
     # every split left the same two possibilities: resolve by resolution
-    d = nvars - _proj_dim_rows(rows, p)
-    _ses_memo[key] = d
-    return d
+    return _remember(key, nvars - _proj_dim_rows(rows, p, deadline=deadline))
 
 
 def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
@@ -355,7 +385,8 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
     The zero ideal has depth equal to the ambient size.  Free variables and
     support-disjoint components are split off before any other work; the
     remaining cores are resolved by exact-sequence splitting with a Betti
-    fallback (see module docstring).
+    fallback (see module docstring).  ``budget_s`` bounds the whole
+    computation, the Betti fallback included.
     """
     _check_prime(field_char)
     n = ideal.num_vars()
@@ -364,7 +395,8 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
     deadline = time.monotonic() + budget_s if budget_s is not None else None
-    rows = _minimal_rows(tuple(g.exponents for g in ideal.gens))
+    # a MonomialIdeal built directly from generators need not be minimal
+    rows = minimal_rows(g.exponents for g in ideal.gens)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20 * sum(sum(r) for r in rows) + 10000))
     try:

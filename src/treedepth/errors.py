@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+import time
+
 
 class ParameterError(ValueError):
     """A parameter is outside the domain an operation is defined on."""
@@ -19,3 +21,10 @@ class ResourceCapError(RuntimeError):
     Deliberately distinct from a mathematical answer: a capped search must
     never be reported as "infeasible" or as a value.
     """
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise :class:`ResourceCapError` once ``time.monotonic()`` has passed
+    ``deadline``; ``None`` means no budget."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceCapError("computation exceeded its time budget")

@@ -4,6 +4,13 @@ polarization and the lcm lattice.
 Monomials carry dense exponent tuples over an ordered ``VariableSet``; an
 ideal is represented by its unique minimal (divisibility-reduced) generating
 set, kept in a canonical sort so ideal equality is plain tuple equality.
+
+Every minimal generating set, here and in the depth engine, comes from one
+tuple kernel, :func:`minimal_rows`.  Its output is in canonical
+``(degree, row)`` order, the order of :meth:`Monomial.sort_key`.  Distinct
+rows of one degree never divide each other, so a row is only tested against
+kept rows of lower degree, and a support-bitmask test rules out most of
+those pairs before the exponents are compared.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import (AmbientMismatchError, ParameterError, ResourceCapError,
-                     UnknownVariableError)
+                     UnknownVariableError, check_deadline)
 from .graphs import Graph
 
 DEFAULT_LATTICE_CAP = 200_000
@@ -175,16 +182,14 @@ class MonomialIdeal:
 
     Construct through :func:`minimalize` (or the ideal operations below),
     which guarantee minimality and canonical generator order.  The zero
-    ideal has an empty generator tuple.  ``power_tag`` optionally records
-    (base ideal, t) provenance for ideals produced by :func:`ideal_power`.
+    ideal has an empty generator tuple.
     """
 
-    __slots__ = ("ambient", "gens", "power_tag")
+    __slots__ = ("ambient", "gens")
 
-    def __init__(self, ambient: VariableSet, gens, power_tag=None):
+    def __init__(self, ambient: VariableSet, gens):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "power_tag", power_tag)
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialIdeal is immutable")
@@ -232,6 +237,51 @@ class MonomialIdeal:
         return minimalize(gens, ambient=ambient)
 
 
+def minimal_rows(rows) -> tuple:
+    """The distinct, divisibility-minimal exponent rows, sorted by
+    ``(degree, row)``.
+
+    This is the package's one minimalization kernel.  In canonical order a
+    row can only be divided by an earlier row, and distinct rows of the same
+    degree never divide each other, so each row is tested only against kept
+    rows of strictly lower degree; rows of a single degree (a power of an
+    edge ideal, say) need no test at all.  A pair is compared exponent by
+    exponent only when the kept row's support mask lies inside the row's.
+    """
+    ordered = sorted((sum(r), r) for r in set(rows))
+    if not ordered or ordered[0][0] == ordered[-1][0]:
+        return tuple(r for _d, r in ordered)
+    kept = []
+    lower = []    # (mask, row) of kept rows of strictly lower degree
+    current = []  # (mask, row) of kept rows of the degree being scanned
+    degree = ordered[0][0]
+    for d, r in ordered:
+        if d != degree:
+            lower += current
+            current = []
+            degree = d
+        mask = _support_mask(r)
+        if not _divided(r, mask, lower):
+            current.append((mask, r))
+            kept.append(r)
+    return tuple(kept)
+
+
+def _support_mask(row) -> int:
+    mask = 0
+    for i, e in enumerate(row):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _divided(row, mask: int, masked_rows) -> bool:
+    """Whether some row of ``masked_rows``, a list of (support mask, row)
+    pairs, divides ``row``, whose support mask is ``mask``."""
+    return any(not (km & ~mask) and all(a <= b for a, b in zip(k, row))
+               for km, k in masked_rows)
+
+
 def minimalize(gens, ambient: VariableSet | None = None) -> MonomialIdeal:
     """Divisibility-minimal subset of ``gens`` in canonical order.
 
@@ -249,12 +299,8 @@ def minimalize(gens, ambient: VariableSet | None = None) -> MonomialIdeal:
     for g in gens[1:]:
         if g.ambient != amb:
             raise AmbientMismatchError("generators live in different variable sets")
-    gens = sorted(set(gens))
-    kept: list[Monomial] = []
-    for g in gens:
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    return MonomialIdeal(amb, kept)
+    by_row = {g.exponents: g for g in gens}
+    return MonomialIdeal(amb, [by_row[r] for r in minimal_rows(by_row)])
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
@@ -271,28 +317,16 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 
 def ideal_power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
-    """Minimal generating set of the t-th power.
-
-    Degree-t multiset products are enumerated with divisibility pruning: a
-    product is dropped as soon as an already-kept product divides it.
-    """
+    """Minimal generating set of the t-th power: the degree-t multiset
+    products of the generators, minimalized once."""
     if t < 1:
         raise ParameterError(f"power must be >= 1, got {t}")
     if t == 1 or ideal.is_zero():
         return ideal
-    n = len(ideal.ambient)
-    rows = ideal.exponent_rows()
-    kept: list[tuple[int, ...]] = []
-    for combo in combinations_with_replacement(rows, t):
-        prod = [0] * n
-        for row in combo:
-            for i, e in enumerate(row):
-                prod[i] += e
-        prod = tuple(prod)
-        if not any(all(x <= y for x, y in zip(k, prod)) for k in kept):
-            kept.append(prod)
-    result = minimalize([Monomial(ideal.ambient, p) for p in kept])
-    return MonomialIdeal(result.ambient, result.gens, power_tag=(ideal, t))
+    products = {tuple(map(sum, zip(*combo))) for combo in
+                combinations_with_replacement(ideal.exponent_rows(), t)}
+    amb = ideal.ambient
+    return MonomialIdeal(amb, [Monomial(amb, r) for r in minimal_rows(products)])
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -395,11 +429,13 @@ class LcmLattice:
         return a.divides(b)
 
 
-def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None) -> LcmLattice:
+def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None,
+                deadline: float | None = None) -> LcmLattice:
     """Iterative worklist closure of the generators under pairwise lcm.
 
     Aborts with a resource error if the element count exceeds the cap
-    (default 200000, overridable via TREEDEPTH_CAP).
+    (default 200000, overridable via TREEDEPTH_CAP) or once the
+    ``time.monotonic()`` instant ``deadline`` has passed.
     """
     if ideal.is_zero():
         raise ParameterError("zero ideal has no lcm lattice")
@@ -410,6 +446,7 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None) -> LcmLattice:
     while frontier:
         new = set()
         for f in frontier:
+            check_deadline(deadline)
             for g in gens:
                 m = tuple(max(x, y) for x, y in zip(f, g))
                 if m not in elems:

@@ -1,11 +1,14 @@
+import time
+
 import pytest
 
 from treedepth import (Graph, Monomial, ParameterError, ResourceCapError,
                        betti_numbers, build_caterpillar, build_lobster, colon,
                        depth_oracle_hochster, depth_quotient, depth_via_betti,
                        disjoint_sum, edge_ideal, extend_ambient,
-                       hochster_betti_table, ideal_power, minimalize, polarize,
-                       restrict, sum_with_vars)
+                       hochster_betti_table, ideal_power, lcm_lattice,
+                       minimalize, polarize, restrict, sum_with_vars)
+from treedepth import depth as depth_mod
 from conftest import caterpillar_grid, family_ideal, lobster_grid, mk_ideal
 
 RP2_TRIANGLES = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -149,6 +152,24 @@ def test_depth_budget_cap():
     ideal = family_ideal("caterpillar", (4, 4, 2), t=2)
     with pytest.raises(ResourceCapError):
         depth_quotient(ideal, budget_s=0.0)
+
+
+def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
+    # P333 at t=3 leaves a core whose Betti computation runs for about 40 s
+    monkeypatch.setattr(depth_mod, "_ses_memo", {})
+    ideal = family_ideal("caterpillar", (3, 3, 3), t=3)
+    start = time.monotonic()
+    with pytest.raises(ResourceCapError):
+        depth_quotient(ideal, budget_s=1)
+    assert time.monotonic() - start < 10
+
+
+def test_betti_and_lattice_raise_past_deadline(p22_ideal):
+    past = time.monotonic() - 1
+    with pytest.raises(ResourceCapError):
+        lcm_lattice(p22_ideal, deadline=past)
+    with pytest.raises(ResourceCapError):
+        betti_numbers(p22_ideal, deadline=past)
 
 
 @pytest.mark.parametrize("char,depth", [(2, 2), (32003, 3)])

@@ -123,7 +123,6 @@ def test_power_two_of_p22(p22_ideal):
     products = brute_minimal([a.times(b) for a, b in
                               combinations_with_replacement(p22_ideal.gens, 2)])
     assert list(square.gens) == products
-    assert square.power_tag == (p22_ideal, 2)
 
 
 def test_power_rejects_bad_exponent(p22_ideal):
