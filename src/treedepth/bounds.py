@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, ResourceCapError
+from .errors import (ParameterError, ResourceCapError, deadline_after,
+                     seconds_left)
 from .graphs import build_caterpillar, build_lobster, graph_stats
 
 
@@ -143,17 +144,7 @@ def compare(family: str, params: tuple, t: int, compute_exact: bool = False,
     from .monomials import edge_ideal, ideal_power
     from .sdepth import sdepth_quotient
 
-    import time
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-
-    def left():
-        if deadline is None:
-            return None
-        rem = deadline - time.monotonic()
-        if rem <= 0:
-            raise ResourceCapError("budget exhausted")
-        return rem
-
+    deadline = deadline_after(budget_s)
     try:
         ideal = ideal_power(edge_ideal(graph), t)
     except ResourceCapError:
@@ -161,12 +152,13 @@ def compare(family: str, params: tuple, t: int, compute_exact: bool = False,
         report.sdepth_capped = True
         return report
     try:
-        report.exact_depth = depth_quotient(ideal, field_char, budget_s=left()).depth
+        report.exact_depth = depth_quotient(
+            ideal, field_char, budget_s=seconds_left(deadline)).depth
     except ResourceCapError:
         report.depth_capped = True
     try:
         report.exact_sdepth = sdepth_quotient(ideal, start=new_bound,
-                                              budget_s=left())[0]
+                                              budget_s=seconds_left(deadline))[0]
     except ResourceCapError:
         report.sdepth_capped = True
     return report

@@ -219,11 +219,10 @@ def _run_cell(args):
               help="per-cell time budget in seconds")
 @click.option("--field-char", type=int, default=32003, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
 @click.option("-o", "out_base", type=click.Path(), required=True,
               help="report base path; writes <base>.json and <base>.csv")
 def cmd_verify(family, n_range, k_range, l_range, r_range, p_range, q_range,
-               t_range, exact, budget, field_char, workers, seed, out_base):
+               t_range, exact, budget, field_char, workers, out_base):
     """Run the bound-soundness sweep over a parameter grid.
 
     Exits 1 if any completed exact value falls below the proven bound."""
@@ -255,7 +254,6 @@ def cmd_verify(family, n_range, k_range, l_range, r_range, p_range, q_range,
     payload = {
         "tool_version": __version__,
         "field_char": field_char,
-        "seed": seed,
         "rows": [r.to_dict() for r in reports],
         "violations": len(violations),
         "capped": len(capped),

@@ -21,14 +21,13 @@ point is used anywhere.
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ParameterError, check_deadline
+from .errors import (ParameterError, check_deadline, deadline_after,
+                     recursion_limit)
 from .monomials import (Monomial, MonomialIdeal, VariableSet, _divided,
                         _support_mask, lcm_lattice, minimal_rows, polarize)
 
@@ -77,9 +76,6 @@ class BettiTable:
 
     def nonzero(self):
         return {k: v for k, v in self.entries.items() if v}
-
-    def total(self, i: int) -> int:
-        return sum(r for (j, _m), r in self.entries.items() if j == i)
 
     def to_json(self) -> str:
         import json
@@ -253,34 +249,17 @@ def _remember(key, d: int) -> int:
     return d
 
 
-def _split_free(rows, nvars):
-    used = sorted({i for r in rows for i, e in enumerate(r) if e})
-    nfree = nvars - len(used)
-    if nfree == 0:
-        return rows, nvars, 0
-    return tuple(tuple(r[i] for i in used) for r in rows), len(used), nfree
-
-
-def _components(rows, nvars):
-    """Partition the variables by generator-support connectivity."""
-    parent = list(range(nvars))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for r in rows:
-        sup = [i for i, e in enumerate(r) if e]
-        for b in sup[1:]:
-            ra, rb = find(sup[0]), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(nvars):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _components(masks):
+    """Support masks of the connected components of the generators: rows
+    whose supports overlap, directly or through other rows, share one."""
+    comps: list[int] = []
+    for m in dict.fromkeys(masks):
+        touching = [c for c in comps if c & m]
+        for c in touching:
+            comps.remove(c)
+            m |= c
+        comps.append(m)
+    return comps
 
 
 def _colon_rows(rows, i):
@@ -313,10 +292,11 @@ def _depth_rec(rows, nvars, p, deadline) -> int:
     """depth(S/I) for the minimal generators ``rows`` of I in canonical
     ``(degree, row)`` order, so that equal ideals share one memo key.
 
-    No split re-minimalizes: the free-variable split, the component split
-    and the sum (I, x_i) each keep a subset of the rows and drop columns
-    that are zero on it, which leaves a minimal set in canonical order; the
-    colon (I : x_i) goes through :func:`_colon_rows`.
+    No split re-minimalizes: the component split and the sum (I, x_i) each
+    keep a subset of the rows and drop columns that are zero on it, which
+    leaves a minimal set in canonical order; the colon (I : x_i) goes
+    through :func:`_colon_rows`.  A free variable is a component with no
+    rows, and adds 1 to the depth.
     """
     if not rows:
         return nvars
@@ -328,18 +308,16 @@ def _depth_rec(rows, nvars, p, deadline) -> int:
         return hit
     check_deadline(deadline)
 
-    rows2, nv2, nfree = _split_free(rows, nvars)
-    if nfree:
-        return _remember(key, nfree + _depth_rec(rows2, nv2, p, deadline))
-
-    groups = _components(rows, nvars)
-    if len(groups) > 1:
-        total = 0
-        for idx in groups:
-            idx_set = set(idx)
-            sub = tuple(tuple(r[i] for i in idx) for r in rows
-                        if all(e == 0 for j, e in enumerate(r) if j not in idx_set))
-            total += _depth_rec(sub, len(idx), p, deadline)
+    masks = [_support_mask(r) for r in rows]
+    comps = _components(masks)
+    nfree = nvars - sum(bin(c).count("1") for c in comps)
+    if nfree or len(comps) > 1:
+        total = nfree
+        for comp in comps:
+            cols = [i for i in range(nvars) if comp >> i & 1]
+            sub = tuple(tuple(r[i] for i in cols)
+                        for r, m in zip(rows, masks) if m & comp)
+            total += _depth_rec(sub, len(cols), p, deadline)
         return _remember(key, total)
 
     if len(rows) == 1:
@@ -394,15 +372,11 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
         return DepthResult(n, 0, n, field_char, "ses_splitting")
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
+    deadline = deadline_after(budget_s)
     # a MonomialIdeal built directly from generators need not be minimal
     rows = minimal_rows(g.exponents for g in ideal.gens)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20 * sum(sum(r) for r in rows) + 10000))
-    try:
+    with recursion_limit(20 * sum(sum(r) for r in rows) + 10000):
         d = _depth_rec(rows, n, field_char, deadline)
-    finally:
-        sys.setrecursionlimit(old_limit)
     return DepthResult(d, n - d, n, field_char, "ses_splitting")
 
 

@@ -54,15 +54,6 @@ class Graph:
         norm = frozenset(tuple(sorted(e)) for e in edges)
         return Graph(tuple(vertices), norm, family)
 
-    def neighbors(self, v: str) -> set[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def adjacency(self) -> dict[str, set[str]]:
         adj = {v: set() for v in self.vertices}
         for a, b in self.edges:

@@ -409,7 +409,7 @@ class LcmLattice:
     """All lcms of nonempty generator subsets, ordered by divisibility.
 
     ``elements`` is sorted by (degree, exponent vector); the generators are
-    the atoms.  Divisibility queries are the order relation.
+    the atoms.
     """
 
     __slots__ = ("ambient", "elements", "atoms")
@@ -421,12 +421,6 @@ class LcmLattice:
 
     def __len__(self):
         return len(self.elements)
-
-    def atoms_below(self, m: Monomial) -> list[Monomial]:
-        return [a for a in self.atoms if a.divides(m)]
-
-    def leq(self, a: Monomial, b: Monomial) -> bool:
-        return a.divides(b)
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None,

@@ -14,13 +14,13 @@ infeasibility.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ParameterError, ResourceCapError
-from .monomials import Monomial, MonomialIdeal, VariableSet, _env_cap
+from .errors import (ParameterError, ResourceCapError, deadline_after,
+                     recursion_limit, seconds_left)
+from .monomials import MonomialIdeal, VariableSet, _env_cap
 
 DEFAULT_BOX_CAP = 2 ** 20
 
@@ -31,36 +31,52 @@ class CharPoset:
     """Characteristic poset of S/I below the cap g, componentwise order.
 
     ``points`` are exponent tuples sorted by (degree, lex); ``g`` is the
-    componentwise maximum of the generator exponents.
+    componentwise maximum of the generator exponents.  The order structure
+    is built once, here, and every :func:`sdepth_at_least` level only reads
+    it.  For the point at position i:
+
+    * ``index`` maps the point tuple to i;
+    * ``ups[i]`` and ``downs[i]`` are the positions of its Hasse covers
+      above and below (the poset is down-closed, so every nonzero
+      coordinate gives a cover below);
+    * ``rho[i]`` is its number of coordinates at the cap;
+    * ``packed[i]`` holds each exponent e_j in a g_j-bit unary field, so
+      that point i lies below point k componentwise exactly when
+      ``not packed[i] & ~packed[k]``.
+
+    :func:`verify_certificate` reads only ``points`` and ``g``.
     """
 
-    __slots__ = ("ambient", "g", "points", "_packed", "_index")
+    __slots__ = ("ambient", "g", "points", "index", "ups", "downs", "rho",
+                 "packed")
 
     def __init__(self, ambient: VariableSet, g: tuple, points):
         self.ambient = ambient
         self.g = g
-        self.points = tuple(sorted(points, key=lambda a: (sum(a), a)))
-        self._packed = tuple(self._pack(a) for a in self.points)
-        self._index = {pk: i for i, pk in enumerate(self._packed)}
-
-    def _pack(self, a: tuple) -> int:
-        # exponent e in a g_i-bit unary field: dominance becomes bit subset
-        out = 0
-        shift = 0
-        for e, gi in zip(a, self.g):
-            out |= ((1 << e) - 1) << shift
-            shift += gi
-        return out
+        self.points = pts = tuple(sorted(points, key=lambda a: (sum(a), a)))
+        self.index = index = {a: i for i, a in enumerate(pts)}
+        offsets = [0]
+        for gi in g:
+            offsets.append(offsets[-1] + gi)
+        ups: list[list[int]] = [[] for _ in pts]
+        downs: list[list[int]] = [[] for _ in pts]
+        packed = [0] * len(pts)
+        # a point's lower covers precede it in (degree, lex) order
+        for i, a in enumerate(pts):
+            for j, e in enumerate(a):
+                if e:
+                    k = index[a[:j] + (e - 1,) + a[j + 1:]]
+                    downs[i].append(k)
+                    ups[k].append(i)
+                    # every cover below gives the same packing
+                    packed[i] = packed[k] | 1 << (offsets[j] + e - 1)
+        self.ups = ups
+        self.downs = downs
+        self.packed = packed
+        self.rho = [sum(1 for x, gi in zip(a, g) if x == gi) for a in pts]
 
     def __len__(self):
         return len(self.points)
-
-    def rho(self, a: tuple) -> int:
-        """Number of coordinates sitting at the cap."""
-        return sum(1 for x, gi in zip(a, self.g) if x == gi)
-
-    def g_monomial(self) -> Monomial:
-        return Monomial(self.ambient, self.g)
 
 
 def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
@@ -150,10 +166,8 @@ def sdepth_at_least(poset: CharPoset, d: int,
         return StanleyCertificate(poset.ambient, poset.g, 0,
                                   tuple((p, p) for p in pts))
 
-    g = poset.g
-    packed = poset._packed
-    index = poset._index
-    rho = [poset.rho(p) for p in pts]
+    index, ups, downs, rho, packed = (poset.index, poset.ups, poset.downs,
+                                      poset.rho, poset.packed)
 
     # tops sorted by degree descending: largest interval first
     top_ids = sorted((i for i in range(len(pts)) if rho[i] >= d),
@@ -161,8 +175,7 @@ def sdepth_at_least(poset: CharPoset, d: int,
     if not top_ids:
         return None
 
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-    npts = len(pts)
+    deadline = deadline_after(budget_s)
     nodes = 0
     tops_cache: dict[int, list[int]] = {}
     memo: dict[frozenset, tuple | None] = {}
@@ -177,21 +190,10 @@ def sdepth_at_least(poset: CharPoset, d: int,
 
     def cube(a, b):
         ranges = [range(a[i], b[i] + 1) for i in range(n)]
-        return [index[poset._pack(c)] for c in product(*ranges)]
-
-    # Hasse neighbours, for splitting uncovered regions into independent parts
-    neighbours: list[list[int]] = [[] for _ in range(npts)]
-    ups: list[list[int]] = [[] for _ in range(npts)]
-    for i, p in enumerate(pts):
-        for j in range(n):
-            if p[j] < g[j]:
-                up = index.get(poset._pack(p[:j] + (p[j] + 1,) + p[j + 1:]))
-                if up is not None:
-                    neighbours[i].append(up)
-                    neighbours[up].append(i)
-                    ups[i].append(up)
+        return [index[c] for c in product(*ranges)]
 
     def split_components(region: frozenset) -> list[frozenset]:
+        """Connected parts of a region under the Hasse links."""
         out = []
         left = set(region)
         while left:
@@ -200,11 +202,12 @@ def sdepth_at_least(poset: CharPoset, d: int,
             stack = [seed]
             while stack:
                 v = stack.pop()
-                for w in neighbours[v]:
-                    if w in left:
-                        left.discard(w)
-                        comp.add(w)
-                        stack.append(w)
+                for links in (ups[v], downs[v]):
+                    for w in links:
+                        if w in left:
+                            left.discard(w)
+                            comp.add(w)
+                            stack.append(w)
             out.append(frozenset(comp))
         return out
 
@@ -257,10 +260,8 @@ def sdepth_at_least(poset: CharPoset, d: int,
         best = None
         minimals = []
         for i in sorted(region):
-            p = pts[i]
-            if any(p[j] and index[poset._pack(p[:j] + (p[j] - 1,) + p[j + 1:])]
-                   in region for j in range(n)):
-                continue  # a parent is still uncovered: not minimal here
+            if any(j in region for j in downs[i]):
+                continue  # a cover below is still uncovered: not minimal here
             minimals.append(i)
             if len(minimals) > SCAN_LIMIT:
                 continue
@@ -295,22 +296,14 @@ def sdepth_at_least(poset: CharPoset, d: int,
         memo[region] = None
         return None
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, npts + 10000))
-    try:
-        intervals: list[tuple] = []
-        feasible = True
-        for comp in split_components(frozenset(range(npts))):
+    intervals: list[tuple] = []
+    with recursion_limit(len(pts) + 10000):
+        for comp in split_components(frozenset(range(len(pts)))):
             sub = solve(comp)
             if sub is None:
-                feasible = False
-                break
+                return None
             intervals.extend(sub)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if not feasible:
-        return None
-    return StanleyCertificate(poset.ambient, g, d, tuple(intervals))
+    return StanleyCertificate(poset.ambient, poset.g, d, tuple(intervals))
 
 
 def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
@@ -324,25 +317,19 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
     """
     poset = char_poset(ideal, cap=cap)
     n = len(poset.ambient)
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-
-    def remaining():
-        if deadline is None:
-            return None
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise ResourceCapError("sdepth search exceeded time budget")
-        return left
-
+    deadline = deadline_after(budget_s)
     d = min(max(start or 0, 0), n)
-    best = sdepth_at_least(poset, d, max_nodes=max_nodes, budget_s=remaining())
+    best = sdepth_at_least(poset, d, max_nodes=max_nodes,
+                           budget_s=seconds_left(deadline))
     while best is None and d > 0:
         d -= 1
-        best = sdepth_at_least(poset, d, max_nodes=max_nodes, budget_s=remaining())
+        best = sdepth_at_least(poset, d, max_nodes=max_nodes,
+                               budget_s=seconds_left(deadline))
     if best is None:
         raise AssertionError("d = 0 must be feasible for a proper ideal")
     while d < n:
-        nxt = sdepth_at_least(poset, d + 1, max_nodes=max_nodes, budget_s=remaining())
+        nxt = sdepth_at_least(poset, d + 1, max_nodes=max_nodes,
+                              budget_s=seconds_left(deadline))
         if nxt is None:
             break
         d += 1

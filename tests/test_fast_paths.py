@@ -1,5 +1,5 @@
-"""Differential tests for the minimalization kernel and the depth engine's
-fast paths.
+"""Differential tests for the minimalization kernel, the depth engine's
+fast paths and the characteristic poset's order structure.
 
 Inputs are random ideals of mixed degree: edge ideals and their powers have
 generators of a single degree, so they never reach the kernel's
@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treedepth import (Monomial, MonomialIdeal, VariableSet,
+from treedepth import (Monomial, MonomialIdeal, VariableSet, char_poset,
                        depth_oracle_hochster, depth_quotient, depth_via_betti,
                        ideal_power)
 from treedepth import depth as depth_mod
@@ -34,8 +34,8 @@ def ideal_of(rows) -> MonomialIdeal:
 
 
 @st.composite
-def row_lists(draw, max_exp=3, max_rows=8, nonzero=False):
-    n = draw(st.integers(1, 6))
+def row_lists(draw, max_exp=3, max_rows=8, nonzero=False, max_vars=6):
+    n = draw(st.integers(1, max_vars))
     row = st.tuples(*[st.integers(0, max_exp)] * n)
     if nonzero:
         row = row.filter(any)
@@ -82,6 +82,15 @@ def test_depth_quotient_matches_hochster_on_squarefree(rows):
     assert depth_quotient(ideal).depth == depth_oracle_hochster(ideal).depth
 
 
+def test_depth_quotient_splits_free_variables_and_components():
+    # components {x0, x1, x3}, {x4, x6} and {x7}; x2 and x5 are free
+    rows = [(1, 1, 0, 0, 0, 0, 0, 0), (0, 2, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 2, 0, 0, 0), (0, 0, 0, 0, 1, 0, 1, 0),
+            (0, 0, 0, 0, 0, 0, 0, 3)]
+    ideal = ideal_of(rows)
+    assert depth_quotient(ideal).depth == depth_via_betti(ideal).depth == 3
+
+
 def test_memo_stays_under_cap_and_answers_survive_eviction(monkeypatch):
     ideals = [family_ideal("caterpillar", params, t)
               for params in ((3, 2, 2), (3, 3, 2), (4, 2, 1)) for t in (1, 2)]
@@ -95,3 +104,25 @@ def test_memo_stays_under_cap_and_answers_survive_eviction(monkeypatch):
         for ideal, depth in zip(ideals, expected):
             assert depth_quotient(ideal).depth == depth
             assert len(depth_mod._ses_memo) <= 16
+
+
+def leq(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=5))
+@settings(max_examples=150, deadline=None)
+def test_char_poset_structure_matches_brute_force(rows):
+    poset = char_poset(ideal_of(naive_minimal(rows)))
+    pts, g = poset.points, poset.g
+    assert len(poset.index) == len(pts)
+    assert all(pts[poset.index[a]] == a for a in pts)
+    for i, a in enumerate(pts):
+        # b covers a exactly when a < b and b is one degree higher
+        above = [j for j, b in enumerate(pts) if leq(a, b) and sum(b) == sum(a) + 1]
+        below = [j for j, b in enumerate(pts) if leq(b, a) and sum(b) == sum(a) - 1]
+        assert sorted(poset.ups[i]) == above
+        assert sorted(poset.downs[i]) == below
+        assert poset.rho[i] == sum(1 for x, gi in zip(a, g) if x == gi)
+        for j, b in enumerate(pts):
+            assert (not poset.packed[i] & ~poset.packed[j]) == leq(a, b)

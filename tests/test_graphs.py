@@ -19,14 +19,14 @@ def test_caterpillar_is_star_for_single_spine():
     assert len(g.vertices) == 4
     stats = graph_stats(g)
     assert stats.leaves == 3
-    assert g.neighbors("u1") == {"y1_1", "y2_1", "y3_1"}
+    assert g.adjacency()["u1"] == {"y1_1", "y2_1", "y3_1"}
 
 
 def test_caterpillar_smallest_restricted():
     g = build_caterpillar(2, 2, 1)
     assert len(g.vertices) == 3
     assert len(g.edges) == 2
-    assert g.neighbors("u2") == {"u1"}
+    assert g.adjacency()["u2"] == {"u1"}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -46,7 +46,7 @@ def test_lobster_figure_sizes():
     g = build_lobster(8, 4)
     assert len(g.vertices) == 41  # 9 + 32
     g0 = build_lobster(8, 4, 0)
-    assert g0.neighbors("v8") == {"vc"}  # no pendants on the short spoke
+    assert g0.adjacency()["v8"] == {"vc"}  # no pendants on the short spoke
     small = build_lobster(2, 1, 1)
     assert len(small.vertices) == 5
 

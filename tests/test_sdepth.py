@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from treedepth import (Monomial, MonomialIdeal, ParameterError,
@@ -111,6 +113,20 @@ def test_sdepth_of_principal_edge_without_hint():
 def test_bad_start_hint_descends():
     value, _ = sdepth_quotient(principal_xy(), start=2)
     assert value == 1
+
+
+def test_search_node_counts_on_square_of_p22(p22_ideal):
+    # pins the search order; both levels read one shared poset
+    poset = char_poset(ideal_power(p22_ideal, 2))
+    limit = sys.getrecursionlimit()
+    with pytest.raises(ResourceCapError):
+        sdepth_at_least(poset, 2, max_nodes=127)
+    assert sys.getrecursionlimit() == limit  # restored on the way out
+    assert sdepth_at_least(poset, 2, max_nodes=128) is None
+    with pytest.raises(ResourceCapError):
+        sdepth_at_least(poset, 1, max_nodes=6)
+    cert = sdepth_at_least(poset, 1, max_nodes=7)
+    assert cert is not None and verify_certificate(poset, cert)
 
 
 def test_monotonicity_below_the_answer():
