@@ -143,7 +143,11 @@ def build_lobster(r: int, p: int, q: int | None = None) -> Graph:
 
 def graph_stats(g: Graph) -> GraphStats:
     """Diameter (max over components), component count, near-leaf count,
-    leaf count and bipartiteness, all by BFS."""
+    leaf count and bipartiteness, all by BFS.
+
+    A tree component takes two searches for its diameter; a component with
+    a cycle takes one from every vertex.
+    """
     adj = g.adjacency()
     color = {}
     bipartite = True
@@ -165,8 +169,14 @@ def graph_stats(g: Graph) -> GraphStats:
                     queue.append(w)
                 elif color[w] == color[v]:
                     bipartite = False
-        for v in comp:
-            diameter = max(diameter, _eccentricity(adj, v))
+        if sum(len(adj[v]) for v in comp) == 2 * (len(comp) - 1):
+            # a tree: the search above reached comp[-1] last, so it is
+            # farthest from start, and in a tree a vertex farthest from any
+            # vertex ends a longest path (double sweep)
+            diameter = max(diameter, _eccentricity(adj, comp[-1]))
+        else:
+            for v in comp:
+                diameter = max(diameter, _eccentricity(adj, v))
     leaves = sum(1 for v in g.vertices if len(adj[v]) == 1)
     near = 0
     for v in g.vertices:

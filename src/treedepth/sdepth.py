@@ -7,6 +7,13 @@ tops satisfy rho(b) = #{i : b_i = g_i} >= d witnesses sdepth(S/I) >= d; the
 search below is an exhaustive exact-cover backtracking, so an "infeasible"
 answer is a proof of impossibility, and a certificate is returned otherwise.
 
+The search works on regions held as Python ints over box positions: the
+point a sits at bit sum(a_j * stride_j) of the box [0, g], so stepping one
+unit along coordinate j is a shift by stride_j.  Hasse covers, minimal
+points, intervals and connected components of a region are then a few
+whole-region shifts and masks per coordinate, run in C, instead of walks
+over single points.
+
 Resource exhaustion (node or time caps) raises, and is never conflated with
 infeasibility.
 """
@@ -17,6 +24,9 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import product
+from operator import eq, mul
+
+import numpy as np
 
 from .errors import (ParameterError, ResourceCapError, deadline_after,
                      recursion_limit, seconds_left)
@@ -27,56 +37,147 @@ DEFAULT_BOX_CAP = 2 ** 20
 _MISS = object()
 
 
+def _strides(g: tuple) -> list[int]:
+    """Mixed-radix place values of the box [0, g], coordinate 0 most
+    significant."""
+    stride = [1] * len(g)
+    for j in range(len(g) - 2, -1, -1):
+        stride[j] = stride[j + 1] * (g[j + 1] + 1)
+    return stride
+
+
 class CharPoset:
     """Characteristic poset of S/I below the cap g, componentwise order.
 
     ``points`` are exponent tuples sorted by (degree, lex); ``g`` is the
-    componentwise maximum of the generator exponents.  The order structure
-    is built once, here, and every :func:`sdepth_at_least` level only reads
-    it.  For the point at position i:
+    componentwise maximum of the generator exponents.  The box layout is
+    built once, here, and every :func:`sdepth_at_least` level only reads it.
+    The box [0, g] is laid out in mixed radix, coordinate 0 most
+    significant: ``stride[j]`` is the product of g_i + 1 over i > j, and
+    ``volume`` the number of box positions.  Box order is lex order.
 
-    * ``index`` maps the point tuple to i;
-    * ``ups[i]`` and ``downs[i]`` are the positions of its Hasse covers
-      above and below (the poset is down-closed, so every nonzero
-      coordinate gives a cover below);
-    * ``rho[i]`` is its number of coordinates at the cap;
+    * ``box[i]`` is the box position sum(a_j * stride[j]) of point i, and
+      ``at`` maps a box position back to its point's index i;
+    * ``digit[j][e]`` is the box-wide mask of the positions whose
+      coordinate j equals e; ``below[j]`` is the union over e < g_j and
+      ``above_zero[j]`` the union over e >= 1;
+    * ``rho[i]`` is the number of coordinates of point i at the cap;
     * ``packed[i]`` holds each exponent e_j in a g_j-bit unary field, so
       that point i lies below point k componentwise exactly when
       ``not packed[i] & ~packed[k]``.
 
+    A region is an int with a bit set at the box position of each of its
+    points.  The methods below work on whole regions: one step along
+    coordinate j is a shift by stride[j], masked so that it cannot wrap
+    into the next coordinate.  Nothing here is a per-point mask, so memory
+    stays linear in the number of points and in the box volume.
     :func:`verify_certificate` reads only ``points`` and ``g``.
     """
 
-    __slots__ = ("ambient", "g", "points", "index", "ups", "downs", "rho",
-                 "packed")
+    __slots__ = ("ambient", "g", "points", "stride", "volume", "box", "at",
+                 "digit", "below", "above_zero", "rho", "packed")
 
     def __init__(self, ambient: VariableSet, g: tuple, points):
         self.ambient = ambient
         self.g = g
         self.points = pts = tuple(sorted(points, key=lambda a: (sum(a), a)))
-        self.index = index = {a: i for i, a in enumerate(pts)}
-        offsets = [0]
-        for gi in g:
-            offsets.append(offsets[-1] + gi)
-        ups: list[list[int]] = [[] for _ in pts]
-        downs: list[list[int]] = [[] for _ in pts]
-        packed = [0] * len(pts)
-        # a point's lower covers precede it in (degree, lex) order
-        for i, a in enumerate(pts):
-            for j, e in enumerate(a):
-                if e:
-                    k = index[a[:j] + (e - 1,) + a[j + 1:]]
-                    downs[i].append(k)
-                    ups[k].append(i)
-                    # every cover below gives the same packing
-                    packed[i] = packed[k] | 1 << (offsets[j] + e - 1)
-        self.ups = ups
-        self.downs = downs
-        self.packed = packed
-        self.rho = [sum(1 for x, gi in zip(a, g) if x == gi) for a in pts]
+        self.stride = stride = _strides(g)
+        self.volume = volume = stride[0] * (g[0] + 1) if g else 1
+        self.box = box = [sum(map(mul, a, stride)) for a in pts]
+        self.at = {p: i for i, p in enumerate(box)}
+        # coordinate j repeats with period stride_j * (g_j + 1); within one
+        # period digit e fills stride_j consecutive positions
+        self.digit = digit = [
+            [int("".join("1" * s if x == e else "0" * s
+                         for x in range(gj, -1, -1))
+                 * (volume // (s * (gj + 1))), 2)
+             for e in range(gj + 1)]
+            for s, gj in zip(stride, g)]
+        full = (1 << volume) - 1
+        self.below = [full ^ dj[-1] for dj in digit]
+        self.above_zero = [full ^ dj[0] for dj in digit]
+        unary, offset = [], 0
+        for gj in g:
+            unary.append([((1 << e) - 1) << offset for e in range(gj + 1)])
+            offset += gj
+        self.packed = [sum(map(list.__getitem__, unary, a)) for a in pts]
+        self.rho = [sum(map(eq, a, g)) for a in pts]
 
     def __len__(self):
         return len(self.points)
+
+    def mask(self, ids) -> int:
+        """The region holding the points ``ids``."""
+        buf = bytearray((self.volume + 7) // 8)
+        box = self.box
+        for i in ids:
+            p = box[i]
+            buf[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(buf, "little")
+
+    def has_up(self, region: int) -> int:
+        """Box positions with an upper cover in the region."""
+        out = 0
+        for s, below in zip(self.stride, self.below):
+            out |= region >> s & below
+        return out
+
+    def has_down(self, region: int) -> int:
+        """Box positions with a lower cover in the region."""
+        out = 0
+        for s, above in zip(self.stride, self.above_zero):
+            out |= region << s & above
+        return out
+
+    def minimal(self, region: int) -> list[int]:
+        """Points of the region with no lower cover in it, by index, so in
+        (degree, lex) order."""
+        out = []
+        rest = region & ~self.has_down(region)
+        while rest:
+            low = rest & -rest
+            out.append(self.at[low.bit_length() - 1])
+            rest ^= low
+        return sorted(out)
+
+    def cube(self, a: tuple, b: tuple) -> int:
+        """Box positions c with a <= c <= b: per coordinate, the union of
+        the digits a_j..b_j, intersected over the coordinates."""
+        out = (1 << self.volume) - 1
+        for dj, x, y in zip(self.digit, a, b):
+            if y - x < len(dj) - 1:  # a full range constrains nothing
+                span = 0
+                for e in range(x, y + 1):
+                    span |= dj[e]
+                out &= span
+        return out
+
+    def components(self, region: int) -> list[int]:
+        """Connected parts of a region under the Hasse links, in (degree,
+        lex) order of their first points.  Every part holds a minimal point
+        of the region and grows from the first one it holds, one cover step
+        along each coordinate in turn, until it stops changing; what is
+        left after the parts of all but the last minimal point is one
+        part."""
+        seeds = self.minimal(region)
+        steps = [(s, below & region, above & region) for s, below, above
+                 in zip(self.stride, self.below, self.above_zero)]
+        out = []
+        for i in seeds[:-1]:
+            part = 1 << self.box[i]
+            if not region & part:
+                continue  # inside an earlier part
+            while True:
+                before = part
+                for s, below, above in steps:
+                    part |= part >> s & below | part << s & above
+                if part == before:
+                    break
+            out.append(part)
+            region ^= part
+        if region:
+            out.append(region)
+        return out
 
 
 def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
@@ -95,22 +196,33 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
             raise ResourceCapError(
                 f"characteristic poset box exceeds cap ({volume} > {cap})")
 
-    def member(a):
-        return any(all(x <= y for x, y in zip(r, a)) for r in rows)
-
-    # each point is generated once, from incrementing at or after its last
-    # nonzero coordinate
+    # Level by level: x^b lies outside I exactly when b is not a generator
+    # and every lower cover of b lies outside I.  Points are tracked by box
+    # position too.  Each b is generated once, from b - e_i for its last
+    # nonzero coordinate i; its other lower covers b - e_j have j < i and
+    # lie in the level below, which is complete.
+    stride = _strides(g)
+    gens = {sum(map(mul, r, stride)) for r in rows}
     origin = (0,) * n
     points = [origin]
-    stack = [(origin, 0)]
-    while stack:
-        a, start = stack.pop()
-        for i in range(start, n):
-            if a[i] < g[i]:
-                b = a[:i] + (a[i] + 1,) + a[i + 1:]
-                if not member(b):
-                    points.append(b)
-                    stack.append((b, i))
+    outside = {0}
+    level = [(origin, 0, 0)]
+    while level:
+        nxt = []
+        for a, p, start in level:
+            for i in range(start, n):
+                if a[i] < g[i]:
+                    q = p + stride[i]
+                    if q in gens:
+                        continue
+                    for j in range(i):
+                        if a[j] and q - stride[j] not in outside:
+                            break
+                    else:
+                        nxt.append((a[:i] + (a[i] + 1,) + a[i + 1:], q, i))
+        points.extend(b for b, _, _ in nxt)
+        outside.update(q for _, q, _ in nxt)
+        level = nxt
     return CharPoset(ideal.ambient, g, points)
 
 
@@ -166,19 +278,30 @@ def sdepth_at_least(poset: CharPoset, d: int,
         return StanleyCertificate(poset.ambient, poset.g, 0,
                                   tuple((p, p) for p in pts))
 
-    index, ups, downs, rho, packed = (poset.index, poset.ups, poset.downs,
-                                      poset.rho, poset.packed)
+    rho, packed = poset.rho, poset.packed
 
     # tops sorted by degree descending: largest interval first
     top_ids = sorted((i for i in range(len(pts)) if rho[i] >= d),
                      key=lambda i: -sum(pts[i]))
     if not top_ids:
         return None
+    top_mask = poset.mask(top_ids)
+    nbytes = (poset.volume + 7) // 8
+    point_bits = np.array(poset.box)
 
     deadline = deadline_after(budget_s)
     nodes = 0
     tops_cache: dict[int, list[int]] = {}
-    memo: dict[frozenset, tuple | None] = {}
+    memo: dict[bytes, tuple | None] = {}
+
+    def key_of(region):
+        """The region with one bit per point, point i at bit i & 7 of byte
+        i >> 3: the memo key, and the table for single-point membership.
+        The box can hold several times more positions than the poset has
+        points, and shifting a whole region to test one bit is slow."""
+        bits = np.unpackbits(np.frombuffer(region.to_bytes(nbytes, "little"),
+                                           np.uint8), bitorder="little")
+        return np.packbits(bits[point_bits], bitorder="little").tobytes()
 
     def tops_of(i):
         cached = tops_cache.get(i)
@@ -188,32 +311,9 @@ def sdepth_at_least(poset: CharPoset, d: int,
             tops_cache[i] = cached
         return cached
 
-    def cube(a, b):
-        ranges = [range(a[i], b[i] + 1) for i in range(n)]
-        return [index[c] for c in product(*ranges)]
-
-    def split_components(region: frozenset) -> list[frozenset]:
-        """Connected parts of a region under the Hasse links."""
-        out = []
-        left = set(region)
-        while left:
-            seed = left.pop()
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                v = stack.pop()
-                for links in (ups[v], downs[v]):
-                    for w in links:
-                        if w in left:
-                            left.discard(w)
-                            comp.add(w)
-                            stack.append(w)
-            out.append(frozenset(comp))
-        return out
-
     SCAN_LIMIT = 96  # minimal points examined per region for branching
 
-    def has_saturating_matching(minimals, region):
+    def has_saturating_matching(minimals, key):
         """Distinct intervals end at distinct tops, and every minimal point
         of the region bottoms its own interval, so the minimal points must
         match injectively into the region's top-capable points."""
@@ -221,7 +321,7 @@ def sdepth_at_least(poset: CharPoset, d: int,
 
         def augment(p, seen):
             for t in tops_of(p):
-                if t in region and t not in seen:
+                if key[t >> 3] >> (t & 7) & 1 and t not in seen:
                     seen.add(t)
                     if t not in matched or augment(matched[t], seen):
                         matched[t] = p
@@ -230,7 +330,7 @@ def sdepth_at_least(poset: CharPoset, d: int,
 
         return all(augment(p, set()) for p in minimals)
 
-    def solve(region: frozenset):
+    def solve(region: int):
         """Interval partition of one connected uncovered region, or None.
 
         An interval is order-connected, so after a placement the leftover
@@ -241,7 +341,8 @@ def sdepth_at_least(poset: CharPoset, d: int,
         dead branch is refuted.
         """
         nonlocal nodes
-        cached = memo.get(region, _MISS)
+        key = key_of(region)
+        cached = memo.get(key, _MISS)
         if cached is not _MISS:
             return cached
         nodes += 1
@@ -249,41 +350,32 @@ def sdepth_at_least(poset: CharPoset, d: int,
             raise ResourceCapError("interval partition search exceeded node cap")
         if deadline is not None and nodes % 64 == 0 and time.monotonic() > deadline:
             raise ResourceCapError("interval partition search exceeded time budget")
-        # liveness sweep: every point needs a top-capable point above it
-        # inside the region; descending degree order sees ups first
-        alive: dict[int, bool] = {}
-        for i in sorted(region, reverse=True):
-            alive[i] = rho[i] >= d or any(alive[u] for u in ups[i] if u in region)
-            if not alive[i]:
-                memo[region] = None
-                return None
+        # liveness: every point needs a top-capable point above it inside
+        # the region, so every point that is not one needs a cover above
+        if region & ~(top_mask | poset.has_up(region)):
+            memo[key] = None
+            return None
         best = None
-        minimals = []
-        for i in sorted(region):
-            if any(j in region for j in downs[i]):
-                continue  # a cover below is still uncovered: not minimal here
-            minimals.append(i)
-            if len(minimals) > SCAN_LIMIT:
-                continue
-            live = [ti for ti in tops_of(i) if ti in region]
+        minimals = poset.minimal(region)
+        for i in minimals[:SCAN_LIMIT]:
+            live = [ti for ti in tops_of(i) if key[ti >> 3] >> (ti & 7) & 1]
             if not live:
-                memo[region] = None
+                memo[key] = None
                 return None
             if best is None or len(live) < len(best[1]):
                 best = (i, live)
-        if not has_saturating_matching(minimals, region):
-            memo[region] = None
+        if not has_saturating_matching(minimals, key):
+            memo[key] = None
             return None
         i, live = best
         p = pts[i]
         for ti in live:
-            block = cube(p, pts[ti])
-            if any(j not in region for j in block):
+            block = poset.cube(p, pts[ti])
+            if block & ~region:
                 continue
-            rest = region.difference(block)
             pieces: list[tuple] = [(p, pts[ti])]
             ok = True
-            for comp in split_components(rest):
+            for comp in poset.components(region ^ block):
                 sub = solve(comp)
                 if sub is None:
                     ok = False
@@ -291,14 +383,14 @@ def sdepth_at_least(poset: CharPoset, d: int,
                 pieces.extend(sub)
             if ok:
                 result = tuple(pieces)
-                memo[region] = result
+                memo[key] = result
                 return result
-        memo[region] = None
+        memo[key] = None
         return None
 
     intervals: list[tuple] = []
     with recursion_limit(len(pts) + 10000):
-        for comp in split_components(frozenset(range(len(pts)))):
+        for comp in poset.components(poset.mask(range(len(pts)))):
             sub = solve(comp)
             if sub is None:
                 return None

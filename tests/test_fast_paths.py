@@ -1,5 +1,6 @@
 """Differential tests for the minimalization kernel, the depth engine's
-fast paths and the characteristic poset's order structure.
+fast paths, the characteristic poset's box layout, the Stanley-depth search
+and the graph diameter.
 
 Inputs are random ideals of mixed degree: edge ideals and their powers have
 generators of a single degree, so they never reach the kernel's
@@ -7,14 +8,19 @@ lower-degree tests or the colon's pruning.  The oracles below are written
 out in full and share no code with the kernel.
 """
 
-from itertools import combinations_with_replacement
+import re
+from itertools import combinations_with_replacement, product
+from operator import sub
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treedepth import (Monomial, MonomialIdeal, VariableSet, char_poset,
+from treedepth import (Graph, Monomial, MonomialIdeal, ParameterError,
+                       ResourceCapError, VariableSet, char_poset,
                        depth_oracle_hochster, depth_quotient, depth_via_betti,
-                       ideal_power)
+                       graph_stats, ideal_power, sdepth_at_least,
+                       verify_certificate)
 from treedepth import depth as depth_mod
 from treedepth.monomials import minimal_rows
 from conftest import family_ideal
@@ -110,19 +116,217 @@ def leq(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def box_points(g):
+    """Every exponent vector of the box [0, g], in lex order."""
+    return list(product(*(range(gi + 1) for gi in g)))
+
+
+def mixed_radix(a, g) -> int:
+    """Position of a in the box [0, g], coordinate 0 most significant."""
+    pos = 0
+    for x, gi in zip(a, g):
+        pos = pos * (gi + 1) + x
+    return pos
+
+
+def bit_set(positions) -> int:
+    out = 0
+    for p in positions:
+        out |= 1 << p
+    return out
+
+
 @given(row_lists(max_exp=2, nonzero=True, max_vars=5))
 @settings(max_examples=150, deadline=None)
 def test_char_poset_structure_matches_brute_force(rows):
     poset = char_poset(ideal_of(naive_minimal(rows)))
     pts, g = poset.points, poset.g
-    assert len(poset.index) == len(pts)
-    assert all(pts[poset.index[a]] == a for a in pts)
+    n = len(g)
+    box = box_points(g)
+    assert poset.volume == len(box)
+    # box is the mixed-radix position, injective, and at inverts it
+    assert poset.box == [mixed_radix(a, g) for a in pts]
+    assert len(set(poset.box)) == len(pts)
+    assert poset.at == {p: i for i, p in enumerate(poset.box)}
+    for j in range(n):
+        assert len(poset.digit[j]) == g[j] + 1
+        for e in range(g[j] + 1):
+            assert poset.digit[j][e] == bit_set(
+                mixed_radix(c, g) for c in box if c[j] == e)
+    # below[j] and above_zero[j] keep one step along coordinate j from
+    # wrapping: the step lands on the position of a -+ e_j exactly when that
+    # point exists
+    for j in range(n):
+        assert poset.below[j] == bit_set(
+            mixed_radix(c, g) for c in box if c[j] < g[j])
+        assert poset.above_zero[j] == bit_set(
+            mixed_radix(c, g) for c in box if c[j] > 0)
+    region = bit_set(mixed_radix(a, g) for a in pts)
+    for a in pts:
+        single = 1 << mixed_radix(a, g)
+        for j, s in enumerate(poset.stride):
+            for step, shifted in ((-1, single >> s & poset.below[j]),
+                                  (1, single << s & poset.above_zero[j])):
+                b = a[:j] + (a[j] + step,) + a[j + 1:]
+                expected = 1 << mixed_radix(b, g) if b in pts else 0
+                assert shifted & region == expected
     for i, a in enumerate(pts):
-        # b covers a exactly when a < b and b is one degree higher
-        above = [j for j, b in enumerate(pts) if leq(a, b) and sum(b) == sum(a) + 1]
-        below = [j for j, b in enumerate(pts) if leq(b, a) and sum(b) == sum(a) - 1]
-        assert sorted(poset.ups[i]) == above
-        assert sorted(poset.downs[i]) == below
         assert poset.rho[i] == sum(1 for x, gi in zip(a, g) if x == gi)
-        for j, b in enumerate(pts):
-            assert (not poset.packed[i] & ~poset.packed[j]) == leq(a, b)
+        for k, b in enumerate(pts):
+            assert (not poset.packed[i] & ~poset.packed[k]) == leq(a, b)
+
+
+def hasse_components(region_pts) -> list[set]:
+    """Connected parts of a set of points under cover links, by search."""
+    left, parts = set(region_pts), []
+    while left:
+        part, stack = set(), [next(iter(left))]
+        while stack:
+            a = stack.pop()
+            if a in left:
+                left.discard(a)
+                part.add(a)
+                stack.extend(b for b in left if sum(map(abs, map(sub, a, b))) == 1)
+        parts.append(part)
+    return parts
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_region_operations_match_brute_force(rows, data):
+    poset = char_poset(ideal_of(naive_minimal(rows)))
+    pts, g = poset.points, poset.g
+
+    def region_of(points):
+        return bit_set(mixed_radix(a, g) for a in points)
+
+    ids = data.draw(st.sets(st.integers(0, len(pts) - 1)))
+    region = poset.mask(ids)
+    chosen = {pts[i] for i in ids}
+    assert region == region_of(chosen)
+    ups = {a for a in box_points(g)
+           if any(leq(a, b) and sum(b) == sum(a) + 1 for b in chosen)}
+    downs = {a for a in box_points(g)
+             if any(leq(b, a) and sum(b) == sum(a) - 1 for b in chosen)}
+    assert poset.has_up(region) == region_of(ups)
+    assert poset.has_down(region) == region_of(downs)
+    # minimal within the region: no lower cover in it
+    assert poset.minimal(region) == sorted(
+        i for i in ids if not region_of([pts[i]]) & region_of(downs))
+    parts = poset.components(region)
+    expected = hasse_components(chosen)
+    # parts come in (degree, lex) order of their first points
+    expected.sort(key=lambda part: min((sum(a), a) for a in part))
+    assert parts == [region_of(part) for part in expected]
+    a = pts[data.draw(st.integers(0, len(pts) - 1))]
+    b = data.draw(st.sampled_from([c for c in box_points(g) if leq(a, c)]))
+    assert poset.cube(a, b) == region_of(
+        c for c in box_points(g) if leq(a, c) and leq(c, b))
+
+
+@given(row_lists(max_exp=2, max_vars=5))
+@settings(max_examples=200, deadline=None)
+def test_char_poset_points_match_box_filtered_by_divisibility(rows):
+    # rows may repeat, divide one another or be the unit row
+    ideal = ideal_of(rows)
+    if not all(any(r) for r in rows):
+        with pytest.raises(ParameterError, match="needs a proper ideal"):
+            char_poset(ideal)
+        return
+    g = tuple(map(max, zip(*rows)))
+    volume = len(box_points(g))
+    with pytest.raises(ResourceCapError,
+                       match=re.escape(f"box exceeds cap ({volume} > {volume - 1})")):
+        char_poset(ideal, cap=volume - 1)
+    outside = [a for a in box_points(g) if not any(leq(r, a) for r in rows)]
+    poset = char_poset(ideal, cap=volume)
+    assert poset.g == g
+    assert poset.points == tuple(sorted(outside, key=lambda a: (sum(a), a)))
+
+
+def partition_exists(points, g, d) -> bool:
+    """Exhaustive search for a partition of ``points`` into intervals whose
+    tops have at least d coordinates at the cap g."""
+    memo = {}
+
+    def rec(left):
+        if not left:
+            return True
+        if left not in memo:
+            # a point of least degree is minimal, so it bottoms its interval
+            p = min(left, key=lambda a: (sum(a), a))
+            memo[left] = False
+            for b in left:
+                if leq(p, b) and sum(1 for y, gi in zip(b, g) if y == gi) >= d:
+                    block = set(product(*(range(x, y + 1) for x, y in zip(p, b))))
+                    if block <= left and rec(left - block):
+                        memo[left] = True
+                        break
+        return memo[left]
+
+    return rec(frozenset(points))
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=5))
+@settings(max_examples=300, deadline=None)
+def test_sdepth_search_matches_exhaustive_partitions(rows):
+    poset = char_poset(ideal_of(rows))
+    assume(len(poset) <= 16)
+    for d in range(len(poset.g) + 1):
+        cert = sdepth_at_least(poset, d)
+        assert (cert is not None) == partition_exists(poset.points, poset.g, d)
+        if cert is not None:
+            assert verify_certificate(poset, cert)
+
+
+def all_pairs_diameter(graph) -> int:
+    """Largest finite distance over every pair of vertices."""
+    adj = graph.adjacency()
+    far = 0
+    for start in graph.vertices:
+        dist, frontier = {start: 0}, [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        far = max(far, max(dist.values()))
+    return far
+
+
+@st.composite
+def graphs(draw):
+    """A forest (each vertex joins an earlier one or starts a new tree),
+    sometimes with extra edges that close cycles."""
+    n = draw(st.integers(1, 14))
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+        if parent is not None:
+            edges.append((names[parent], names[i]))
+    if n > 1:
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] != e[1]), max_size=4))
+        edges += [(names[a], names[b]) for a, b in extra]
+    return Graph.from_edges(names, edges)
+
+
+@given(graphs())
+@settings(max_examples=500, deadline=None)
+def test_graph_stats_diameter_matches_all_pairs(graph):
+    assert graph_stats(graph).diameter == all_pairs_diameter(graph)
+
+
+def test_graph_stats_diameter_on_fixed_shapes():
+    single = Graph.from_edges(["a"], [])
+    isolated = Graph.from_edges(["a", "b", "c"], [])
+    path_and_point = Graph.from_edges(["a", "b", "c", "d", "e"],
+                                      [("a", "b"), ("b", "c"), ("c", "d")])
+    cycle = Graph.from_edges(["a", "b", "c", "d", "e"],
+                             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")])
+    for graph, diameter in ((single, 0), (isolated, 0), (path_and_point, 3), (cycle, 2)):
+        assert graph_stats(graph).diameter == all_pairs_diameter(graph) == diameter

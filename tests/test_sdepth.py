@@ -129,6 +129,16 @@ def test_search_node_counts_on_square_of_p22(p22_ideal):
     assert cert is not None and verify_certificate(poset, cert)
 
 
+def test_search_node_counts_on_square_of_p232():
+    # pins the component order: the parts left after a placement are solved
+    # in (degree, lex) order of their first points
+    poset = char_poset(family_ideal("caterpillar", (2, 3, 2), 2))
+    with pytest.raises(ResourceCapError):
+        sdepth_at_least(poset, 2, max_nodes=11)
+    cert = sdepth_at_least(poset, 2, max_nodes=12)
+    assert cert is not None and verify_certificate(poset, cert)
+
+
 def test_monotonicity_below_the_answer():
     ideal = family_ideal("lobster", (3, 2, 2))
     poset = char_poset(ideal)
