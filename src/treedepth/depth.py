@@ -6,17 +6,33 @@ Two independent routes are implemented:
   short exact sequences ``0 -> S/(I:x) -> S/I -> S/(I,x) -> 0``.  The three
   depth-lemma inequalities pin the middle depth exactly whenever the colon
   and sum depths differ by anything other than exactly one; the rare
-  undetermined cores are finished off by multigraded Betti numbers of the
-  polarized ideal over GF(p).
+  undetermined cores are finished off by depth = n - pd, with the
+  projective dimension pd read from the lcm lattice over GF(p).
 * an independent oracle :func:`depth_oracle_hochster` for squarefree ideals,
   which walks every vertex subset of the Stanley-Reisner complex and reads
   Betti numbers from reduced homology of the restrictions.
 
 Multigraded Betti numbers (:func:`betti_numbers`) are computed from the lcm
 lattice: for each lattice element m, beta_{i,m}(S/I) is the rank of reduced
-homology H~_{i-2} of the complex of generator subsets below m whose lcm is
-a proper divisor of m.  Ranks are exact eliminations mod p; no floating
-point is used anywhere.
+homology H~_{i-2} of the complex K_m of generator subsets below m whose lcm
+is a proper divisor of m.  The same rank is H~_{i-2} of the upper Koszul
+complex K^m of squarefree F on supp m with m / x^F in I.  Ranks are exact
+eliminations mod p; no floating point is used anywhere.
+
+The projective dimension alone (the fallback above and
+:func:`depth_via_betti`) does not build that table.  K_m never holds all
+atoms of m, and K^m holds all of supp m only as a full simplex, which has
+no reduced homology; so beta_{i,m} != 0 forces
+i <= b(m) = min(#atoms(m), |supp m|), the Taylor and the Koszul bound.
+The lattice is walked in descending order of b(m), and the walk stops at
+the first element with b(m) <= the best pd found so far; as b(m) <= n,
+that includes pd reaching the number of variables.  Each visited element
+is asked only whether some H~_j with j >= pd - 1 is nonzero: homology is
+computed from the top dimension down, on faces with at least pd - 1
+vertices.  K_m and K^m are the two Dowker complexes of one relation
+between atoms and support positions; dominated rows and columns of that
+relation are removed first (strong collapses, homotopy equivalences), and
+the side with fewer vertices is the one built.
 """
 
 from __future__ import annotations
@@ -221,14 +237,143 @@ def depth_via_betti(ideal: MonomialIdeal, field_char: int = 32003,
 
 
 def _proj_dim_rows(rows, p: int, cap=None, deadline=None) -> int:
-    """proj dim of S/I from exponent rows; free variables are irrelevant to
-    it, so the rows are shrunk to their joint support first."""
+    """pd(S/I) over GF(p) from the exponent rows of a nonzero proper I.
+
+    Free variables are irrelevant to pd, so the rows are shrunk to their
+    joint support first.  The lattice is walked in descending order of the
+    bound b(m) (see the module docstring) and the walk stops once no
+    element left can beat the best pd found; each visited element is asked
+    only for homology above that pd.
+    """
     used = sorted({i for r in rows for i, e in enumerate(r) if e})
     core = minimal_rows(tuple(r[i] for i in used) for r in rows)
     amb = VariableSet(tuple(f"t{i}" for i in range(len(used))))
-    ideal = MonomialIdeal(amb, [Monomial(amb, r) for r in core])
-    table = betti_numbers(ideal, p, cap=cap, deadline=deadline)
-    return table.proj_dim()
+    lattice = lcm_lattice(MonomialIdeal(amb, [Monomial(amb, r) for r in core]),
+                          cap=cap, deadline=deadline)
+    # fits[j][e]: the atoms whose exponent at j is at most e, as a bitset
+    fits = [[sum(1 << a for a, r in enumerate(core) if r[j] <= e)
+             for e in range(max(r[j] for r in core) + 1)]
+            for j in range(len(used))]
+    walk = []
+    for m in lattice.elements:
+        check_deadline(deadline)
+        target = m.exponents
+        below = -1
+        for j, e in enumerate(target):
+            below &= fits[j][e]
+        bound = min(below.bit_count(), len(target) - target.count(0))
+        walk.append((bound, target, below))
+    walk.sort(key=lambda w: -w[0])
+    pd = 1  # a generator m has beta_{1,m} = 1
+    for bound, target, below in walk:
+        if bound <= pd:
+            break
+        check_deadline(deadline)
+        # one row per atom: the support positions where it stays below m
+        supp = [j for j, e in enumerate(target) if e]
+        rows = [sum(1 << k for k, j in enumerate(supp) if core[a][j] < target[j])
+                for a in range(below.bit_length()) if below >> a & 1]
+        facets = _dowker_core(rows, len(supp), deadline)
+        j = _high_homology(facets, pd - 1, p, deadline)
+        if j is not None:
+            pd = j + 2
+    return pd
+
+
+def _maximal(masks) -> list:
+    """The distinct bitsets among ``masks`` that lie in no other one."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in out):
+            out.append(m)
+    return out
+
+
+def _transpose(masks, width: int) -> list:
+    return [sum(1 << i for i, m in enumerate(masks) if m >> c & 1)
+            for c in range(width)]
+
+
+def _dowker_core(rows, width: int, deadline=None) -> list:
+    """Facets of a complex homotopy equivalent to both complexes of the
+    relation given by ``rows`` (bitsets over ``width`` columns).
+
+    Faces of the atom side K_m are atom sets under a common column, faces
+    of the support side K^m support sets inside a common row; by Dowker's
+    theorem the two are homotopy equivalent.  A row inside another row is
+    a dominated vertex of K_m and a non-maximal facet of K^m (and the same
+    for columns), so removing it is a strong collapse of one side and no
+    change of the other.  Removals repeat until none is left, and the side
+    with fewer vertices is returned as its facets.
+    """
+    while True:
+        check_deadline(deadline)
+        rows = _maximal(rows)
+        cols = _maximal(_transpose(rows, width))
+        if len(cols) == width:
+            return cols if len(rows) <= width else rows
+        rows, width = _transpose(cols, len(rows)), len(cols)
+
+
+def _high_homology(facets, floor: int, p: int, deadline=None):
+    """The largest j >= ``floor`` with reduced H_j over GF(p) nonzero for the
+    complex generated by ``facets`` (vertex bitsets), or None.
+
+    Homology is computed from the top dimension down, so only the faces
+    with at least ``floor`` vertices are ever built.
+    """
+    size = max(map(int.bit_count, facets))
+    faces = _faces(facets, size, deadline)
+    rank_above = 0
+    for j in range(size - 1, floor - 1, -1):
+        lower = _faces(facets, j, deadline)
+        rank = _boundary_rank(faces, lower, p, deadline)
+        if len(faces) - rank - rank_above:
+            return j
+        faces, rank_above = lower, rank
+    return None
+
+
+def _faces(facets, size: int, deadline=None) -> list:
+    """The faces with ``size`` vertices, as sorted bitsets."""
+    out: set[int] = set()
+    for f in facets:
+        check_deadline(deadline)
+        bits = [1 << v for v in range(f.bit_length()) if f >> v & 1]
+        out.update(map(sum, combinations(bits, size)))
+    return sorted(out)
+
+
+def _boundary_rank(faces, lower, p: int, deadline=None) -> int:
+    """Rank over GF(p) of the boundary map from ``faces`` to ``lower``.
+
+    Sparse row reduction: a row is reduced by the earlier rows that share
+    its leading (highest) column until it is zero or leads a new column.
+    """
+    index = {f: i for i, f in enumerate(lower)}
+    pivots: dict[int, dict] = {}
+    for f in faces:
+        check_deadline(deadline)
+        row, sign, rest = {}, 1, f
+        while rest:
+            v = rest & -rest
+            row[index[f ^ v]] = sign % p
+            sign, rest = -sign, rest ^ v
+        while row:
+            c = max(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {k: x * inv % p for k, x in row.items()}
+                break
+            k = row[c]
+            for cc, x in piv.items():
+                y = (row.get(cc, 0) - k * x) % p
+                if y:
+                    row[cc] = y
+                else:
+                    row.pop(cc, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

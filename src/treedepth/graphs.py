@@ -61,10 +61,6 @@ class Graph:
             adj[b].add(a)
         return adj
 
-    def is_tree(self) -> bool:
-        return (len(self.edges) == len(self.vertices) - 1
-                and graph_stats(self).components == 1)
-
     def sorted_edges(self) -> list[tuple[str, str]]:
         """Edges sorted by vertex-list position, for deterministic output."""
         pos = {v: i for i, v in enumerate(self.vertices)}

@@ -155,13 +155,15 @@ def test_depth_budget_cap():
 
 
 def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
-    # P333 at t=3 leaves a core whose Betti computation runs for about 40 s
+    # P433 at t=4 reaches, after about 0.2 s of splitting, a core of 66
+    # generators in 10 variables whose projective dimension takes about 2 s
     monkeypatch.setattr(depth_mod, "_ses_memo", {})
-    ideal = family_ideal("caterpillar", (3, 3, 3), t=3)
+    ideal = family_ideal("caterpillar", (4, 3, 3), t=4)
     start = time.monotonic()
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError) as err:
         depth_quotient(ideal, budget_s=1)
     assert time.monotonic() - start < 10
+    assert "_proj_dim_rows" in {entry.name for entry in err.traceback}
 
 
 def test_betti_and_lattice_raise_past_deadline(p22_ideal):
@@ -170,6 +172,21 @@ def test_betti_and_lattice_raise_past_deadline(p22_ideal):
         lcm_lattice(p22_ideal, deadline=past)
     with pytest.raises(ResourceCapError):
         betti_numbers(p22_ideal, deadline=past)
+
+
+def test_proj_dim_raises_past_deadline(p22_ideal, monkeypatch):
+    past = time.monotonic() - 1
+    rows = p22_ideal.exponent_rows()
+    with pytest.raises(ResourceCapError):
+        depth_mod._proj_dim_rows(rows, 32003, deadline=past)
+    with pytest.raises(ResourceCapError):
+        depth_mod._high_homology([0b111, 0b1110], 0, 32003, deadline=past)
+    # past the lattice, the walk itself checks the deadline
+    real_lattice = depth_mod.lcm_lattice
+    monkeypatch.setattr(depth_mod, "lcm_lattice",
+                        lambda ideal, cap, deadline: real_lattice(ideal, cap))
+    with pytest.raises(ResourceCapError):
+        depth_mod._proj_dim_rows(rows, 32003, deadline=past)
 
 
 @pytest.mark.parametrize("char,depth", [(2, 2), (32003, 3)])
@@ -229,6 +246,19 @@ def test_lattice_route_agrees_on_powers(name, params, t):
     # of generators below a lattice element
     ideal = family_ideal(name, params, t)
     assert depth_via_betti(ideal).depth == depth_quotient(ideal).depth
+
+
+@pytest.mark.parametrize("name,params,t", [
+    ("caterpillar", (2, 2, 1), 2), ("caterpillar", (2, 2, 2), 2),
+    ("lobster", (2, 1, 1), 2), ("lobster", (2, 1, 0), 3),
+])
+def test_lattice_route_matches_full_betti_table(name, params, t):
+    # depth_via_betti computes only pd; the full table of the polarized
+    # ideal must give the same depth
+    ideal = family_ideal(name, params, t)
+    squarefree, _shift = polarize(ideal)
+    full_pd = betti_numbers(squarefree).proj_dim()
+    assert depth_via_betti(ideal).depth == ideal.num_vars() - full_pd
 
 
 def test_polarization_depth_transfer():

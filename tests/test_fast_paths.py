@@ -1,6 +1,6 @@
 """Differential tests for the minimalization kernel, the depth engine's
-fast paths, the characteristic poset's box layout, the Stanley-depth search
-and the graph diameter.
+fast paths, the projective-dimension walk, the characteristic poset's box
+layout, the Stanley-depth search and the graph diameter.
 
 Inputs are random ideals of mixed degree: edge ideals and their powers have
 generators of a single degree, so they never reach the kernel's
@@ -9,7 +9,7 @@ out in full and share no code with the kernel.
 """
 
 import re
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import sub
 
 import pytest
@@ -17,13 +17,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treedepth import (Graph, Monomial, MonomialIdeal, ParameterError,
-                       ResourceCapError, VariableSet, char_poset,
-                       depth_oracle_hochster, depth_quotient, depth_via_betti,
-                       graph_stats, ideal_power, sdepth_at_least,
-                       verify_certificate)
+                       ResourceCapError, VariableSet, betti_numbers,
+                       char_poset, depth_oracle_hochster, depth_quotient,
+                       depth_via_betti, graph_stats, ideal_power,
+                       lcm_lattice, sdepth_at_least, verify_certificate)
 from treedepth import depth as depth_mod
 from treedepth.monomials import minimal_rows
 from conftest import family_ideal
+from test_depth import RP2_TRIANGLES, rp2_ideal
 
 
 def naive_minimal(rows) -> tuple:
@@ -95,6 +96,89 @@ def test_depth_quotient_splits_free_variables_and_components():
             (0, 0, 0, 0, 0, 0, 0, 3)]
     ideal = ideal_of(rows)
     assert depth_quotient(ideal).depth == depth_via_betti(ideal).depth == 3
+
+
+@given(row_lists(nonzero=True, max_rows=7), st.sampled_from([2, 32003]))
+@settings(max_examples=200, deadline=None)
+def test_proj_dim_matches_full_betti_table(rows, p):
+    gens = naive_minimal(rows)
+    expected = betti_numbers(ideal_of(gens), p).proj_dim()
+    assert depth_mod._proj_dim_rows(gens, p) == expected
+
+
+@given(row_lists(max_exp=1, nonzero=True, max_rows=10),
+       st.sampled_from([2, 32003]))
+@settings(max_examples=150, deadline=None)
+def test_proj_dim_matches_hochster_on_squarefree(rows, p):
+    ideal = ideal_of(naive_minimal(rows))
+    oracle = depth_oracle_hochster(ideal, p)
+    assert depth_mod._proj_dim_rows(ideal.exponent_rows(), p) == oracle.proj_dim
+
+
+def relation_complex(rows, width):
+    """Faces of the complex on the row indices whose members all contain one
+    common column, including the empty face, by dimension."""
+    faces = {}
+    for size in range(len(rows) + 1):
+        for face in combinations(range(len(rows)), size):
+            if any(all(rows[r] >> c & 1 for r in face) for c in range(width)) \
+                    or not face:
+                faces.setdefault(size - 1, []).append(frozenset(face))
+    return faces
+
+
+@given(st.integers(1, 6).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, 2 ** w - 1), min_size=1, max_size=7))),
+    st.integers(0, 3), st.sampled_from([2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_high_homology_of_relation_core_matches_full_homology(relation, floor, p):
+    width, rows = relation
+    full = depth_mod._reduced_homology(relation_complex(rows, width), p)
+    expected = max((j for j in full if j >= floor), default=None)
+    facets = depth_mod._dowker_core(rows, width)
+    assert depth_mod._high_homology(facets, floor, p) == expected
+
+
+MOEBIUS_TRIANGLES = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("triangles,p,expected", [
+    (MOEBIUS_TRIANGLES, 32003, 1),  # no vertex dominated, no H_2, H_1 = 1
+    (RP2_TRIANGLES, 2, 2),
+    (RP2_TRIANGLES, 3, None),
+])
+def test_high_homology_on_triangulated_surfaces(triangles, p, expected):
+    # the relation of vertices to the triangles that hold them has no
+    # dominated row or column, so the core is the surface itself (with its
+    # vertices renumbered)
+    rows = [sum(1 << t for t, tri in enumerate(triangles) if v in tri)
+            for v in range(1, 7)]
+    facets = depth_mod._dowker_core([r for r in rows if r], len(triangles))
+    assert len(set(facets)) == len(triangles)
+    assert {f.bit_count() for f in facets} == {3}
+    assert depth_mod._high_homology(facets, 0, p) == expected
+
+
+@pytest.mark.parametrize("p,pd", [(2, 4), (32003, 3)])
+def test_proj_dim_keeps_characteristic_dependence(p, pd):
+    assert depth_mod._proj_dim_rows(rp2_ideal().exponent_rows(), p) == pd
+
+
+def test_proj_dim_walk_on_s422_visits_37_of_879_elements(monkeypatch):
+    # 13 variables, 12 generators; pd 9 is reached at one lattice element
+    visited = []
+    real = depth_mod._high_homology
+
+    def counting(*args):
+        visited.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(depth_mod, "_high_homology", counting)
+    ideal = family_ideal("lobster", (4, 2, 2))
+    assert len(lcm_lattice(ideal)) == 879
+    assert depth_mod._proj_dim_rows(ideal.exponent_rows(), 32003) == 9
+    assert len(visited) == 37
+    assert depth_via_betti(ideal).depth == 4
 
 
 def test_memo_stays_under_cap_and_answers_survive_eviction(monkeypatch):
