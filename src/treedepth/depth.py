@@ -271,9 +271,9 @@ def _proj_dim_rows(rows, p: int, cap=None, deadline=None) -> int:
         check_deadline(deadline)
         # one row per atom: the support positions where it stays below m
         supp = [j for j, e in enumerate(target) if e]
-        rows = [sum(1 << k for k, j in enumerate(supp) if core[a][j] < target[j])
-                for a in range(below.bit_length()) if below >> a & 1]
-        facets = _dowker_core(rows, len(supp), deadline)
+        relation = [sum(1 << k for k, j in enumerate(supp) if core[a][j] < target[j])
+                    for a in range(below.bit_length()) if below >> a & 1]
+        facets = _dowker_core(relation, len(supp), deadline)
         j = _high_homology(facets, pd - 1, p, deadline)
         if j is not None:
             pd = j + 2
