@@ -21,10 +21,13 @@ infeasibility.
 from __future__ import annotations
 
 import json
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 from operator import eq, mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,36 +75,55 @@ class CharPoset:
     into the next coordinate.  Nothing here is a per-point mask, so memory
     stays linear in the number of points and in the box volume.
     :func:`verify_certificate` reads only ``points`` and ``g``.
+
+    :func:`char_poset` caches posets per process under a bound on the
+    points held and hands the same instance to every caller, so an
+    instance is read-only: every sequence field is a tuple, ``at`` is a
+    read-only mapping, and assigning or deleting an attribute raises
+    AttributeError.  A cache hit still passes the proper-ideal and box-cap
+    checks.
     """
 
     __slots__ = ("ambient", "g", "points", "stride", "volume", "box", "at",
                  "digit", "below", "above_zero", "rho", "packed")
 
     def __init__(self, ambient: VariableSet, g: tuple, points):
-        self.ambient = ambient
-        self.g = g
-        self.points = pts = tuple(sorted(points, key=lambda a: (sum(a), a)))
-        self.stride = stride = _strides(g)
-        self.volume = volume = stride[0] * (g[0] + 1) if g else 1
-        self.box = box = [sum(map(mul, a, stride)) for a in pts]
-        self.at = {p: i for i, p in enumerate(box)}
+        init = object.__setattr__
+        init(self, "ambient", ambient)
+        init(self, "g", g)
+        pts = tuple(sorted(points, key=lambda a: (sum(a), a)))
+        init(self, "points", pts)
+        stride = tuple(_strides(g))
+        init(self, "stride", stride)
+        volume = stride[0] * (g[0] + 1) if g else 1
+        init(self, "volume", volume)
+        box = tuple(sum(map(mul, a, stride)) for a in pts)
+        init(self, "box", box)
+        init(self, "at", MappingProxyType({p: i for i, p in enumerate(box)}))
         # coordinate j repeats with period stride_j * (g_j + 1); within one
         # period digit e fills stride_j consecutive positions
-        self.digit = digit = [
-            [int("".join("1" * s if x == e else "0" * s
-                         for x in range(gj, -1, -1))
-                 * (volume // (s * (gj + 1))), 2)
-             for e in range(gj + 1)]
-            for s, gj in zip(stride, g)]
+        digit = tuple(
+            tuple(int("".join("1" * s if x == e else "0" * s
+                              for x in range(gj, -1, -1))
+                      * (volume // (s * (gj + 1))), 2)
+                  for e in range(gj + 1))
+            for s, gj in zip(stride, g))
+        init(self, "digit", digit)
         full = (1 << volume) - 1
-        self.below = [full ^ dj[-1] for dj in digit]
-        self.above_zero = [full ^ dj[0] for dj in digit]
+        init(self, "below", tuple(full ^ dj[-1] for dj in digit))
+        init(self, "above_zero", tuple(full ^ dj[0] for dj in digit))
         unary, offset = [], 0
         for gj in g:
             unary.append([((1 << e) - 1) << offset for e in range(gj + 1)])
             offset += gj
-        self.packed = [sum(map(list.__getitem__, unary, a)) for a in pts]
-        self.rho = [sum(map(eq, a, g)) for a in pts]
+        init(self, "packed",
+             tuple(sum(map(list.__getitem__, unary, a)) for a in pts))
+        init(self, "rho", tuple(sum(map(eq, a, g)) for a in pts))
+
+    def __setattr__(self, *a):
+        raise AttributeError("CharPoset is read-only: char_poset shares it")
+
+    __delattr__ = __setattr__
 
     def __len__(self):
         return len(self.points)
@@ -180,9 +202,24 @@ class CharPoset:
         return out
 
 
+# Posets built by char_poset, keyed by (ambient, generator rows), least
+# recently used first.  Eviction keeps the points held at most
+# _POSET_CACHE_POINTS; a poset larger than that is never kept.
+_POSET_CACHE_POINTS = 1 << 14
+_poset_cache: OrderedDict = OrderedDict()
+_poset_cache_lock = threading.Lock()
+
+
 def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
     """Enumerate the poset; aborts if the bounding box volume exceeds the
-    cap (default 2^20, overridable via TREEDEPTH_CAP)."""
+    cap (default 2^20, overridable via TREEDEPTH_CAP).
+
+    Posets are cached per process under a bound on the points held, so
+    equal ideals over equal variables get the same :class:`CharPoset`
+    while it stays cached; it is shared and therefore read-only.  The
+    proper-ideal and box checks run on every call, so a cached poset is
+    returned only when a fresh build would have been.
+    """
     if not ideal.is_proper():
         raise ParameterError("characteristic poset needs a proper ideal")
     cap = _env_cap(DEFAULT_BOX_CAP) if cap is None else cap
@@ -195,6 +232,12 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
         if volume > cap:
             raise ResourceCapError(
                 f"characteristic poset box exceeds cap ({volume} > {cap})")
+    key = (ideal.ambient, tuple(rows))
+    with _poset_cache_lock:
+        poset = _poset_cache.get(key)
+        if poset is not None:
+            _poset_cache.move_to_end(key)
+            return poset
 
     # Level by level: x^b lies outside I exactly when b is not a generator
     # and every lower cover of b lies outside I.  Points are tracked by box
@@ -223,7 +266,17 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
         points.extend(b for b, _, _ in nxt)
         outside.update(q for _, q, _ in nxt)
         level = nxt
-    return CharPoset(ideal.ambient, g, points)
+    poset = CharPoset(ideal.ambient, g, points)
+    if len(poset) > _POSET_CACHE_POINTS:
+        return poset
+    with _poset_cache_lock:
+        # another thread may have cached the same key meanwhile
+        poset = _poset_cache.setdefault(key, poset)
+        _poset_cache.move_to_end(key)
+        held = sum(map(len, _poset_cache.values()))
+        while held > _POSET_CACHE_POINTS:
+            held -= len(_poset_cache.popitem(last=False)[1])
+    return poset
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Differential tests for the minimalization kernel, the depth engine's
 fast paths, the projective-dimension walk, the characteristic poset's box
-layout, the Stanley-depth search and the graph diameter.
+layout and its cache, the Stanley-depth search and the graph diameter.
 
 Inputs are random ideals of mixed degree: edge ideals and their powers have
 generators of a single degree, so they never reach the kernel's
@@ -9,6 +9,7 @@ out in full and share no code with the kernel.
 """
 
 import re
+from collections import OrderedDict
 from itertools import combinations, combinations_with_replacement, product
 from operator import sub
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treedepth import (Graph, Monomial, MonomialIdeal, ParameterError,
-                       ResourceCapError, VariableSet, betti_numbers,
-                       char_poset, depth_oracle_hochster, depth_quotient,
-                       depth_via_betti, graph_stats, ideal_power,
-                       lcm_lattice, sdepth_at_least, verify_certificate)
+from treedepth import (CharPoset, Graph, Monomial, MonomialIdeal,
+                       ParameterError, ResourceCapError, VariableSet,
+                       betti_numbers, char_poset, depth_oracle_hochster,
+                       depth_quotient, depth_via_betti, graph_stats,
+                       ideal_power, lcm_lattice, sdepth_at_least,
+                       verify_certificate)
 from treedepth import depth as depth_mod
+from treedepth import sdepth as sdepth_mod
 from treedepth.monomials import minimal_rows
 from conftest import family_ideal
 from test_depth import RP2_TRIANGLES, rp2_ideal
@@ -229,7 +232,7 @@ def test_char_poset_structure_matches_brute_force(rows):
     box = box_points(g)
     assert poset.volume == len(box)
     # box is the mixed-radix position, injective, and at inverts it
-    assert poset.box == [mixed_radix(a, g) for a in pts]
+    assert poset.box == tuple(mixed_radix(a, g) for a in pts)
     assert len(set(poset.box)) == len(pts)
     assert poset.at == {p: i for i, p in enumerate(poset.box)}
     for j in range(n):
@@ -326,6 +329,121 @@ def test_char_poset_points_match_box_filtered_by_divisibility(rows):
     poset = char_poset(ideal, cap=volume)
     assert poset.g == g
     assert poset.points == tuple(sorted(outside, key=lambda a: (sum(a), a)))
+
+
+def fresh_poset_cache(monkeypatch, points=None) -> OrderedDict:
+    monkeypatch.setattr(sdepth_mod, "_poset_cache", OrderedDict())
+    if points is not None:
+        monkeypatch.setattr(sdepth_mod, "_POSET_CACHE_POINTS", points)
+    return sdepth_mod._poset_cache
+
+
+def test_equal_ideals_share_one_cached_poset(monkeypatch):
+    cache = fresh_poset_cache(monkeypatch)
+    first = char_poset(family_ideal("caterpillar", (2, 2, 2), 2))
+    assert char_poset(family_ideal("caterpillar", (2, 2, 2), 2)) is first
+    assert len(cache) == 1
+    # the same rows over other variable names are another poset
+    names = VariableSet(tuple(f"y{i}" for i in range(len(first.g))))
+    renamed = char_poset(MonomialIdeal(
+        names, [Monomial(names, a) for a in
+                family_ideal("caterpillar", (2, 2, 2), 2).exponent_rows()]))
+    assert renamed is not first
+    assert renamed.ambient == names and renamed.points == first.points
+    assert len(cache) == 2
+
+
+def test_cache_hit_still_applies_the_checks(monkeypatch):
+    cache = fresh_poset_cache(monkeypatch)
+    ideal = family_ideal("caterpillar", (2, 2, 2), 2)
+    poset = char_poset(ideal)
+    volume = poset.volume
+    with pytest.raises(ResourceCapError,
+                       match=re.escape(f"box exceeds cap ({volume} > {volume - 1})")):
+        char_poset(ideal, cap=volume - 1)
+    monkeypatch.setenv("TREEDEPTH_CAP", str(volume - 1))
+    with pytest.raises(ResourceCapError):
+        char_poset(ideal)
+    monkeypatch.delenv("TREEDEPTH_CAP")
+    assert char_poset(ideal, cap=volume) is poset
+    # a poset planted under an improper ideal's key is never reached
+    amb = VariableSet(("x", "y"))
+    unit = MonomialIdeal(amb, [Monomial.one(amb)])
+    cache[(unit.ambient, tuple(unit.exponent_rows()))] = poset
+    with pytest.raises(ParameterError, match="needs a proper ideal"):
+        char_poset(unit)
+
+
+def test_poset_cache_stays_under_its_points_bound(monkeypatch):
+    cache = fresh_poset_cache(monkeypatch, points=200)
+
+    def held():
+        return sum(map(len, cache.values()))
+
+    a = char_poset(family_ideal("caterpillar", (2, 2, 2), 2))  # 50 points
+    b = char_poset(family_ideal("caterpillar", (3, 2, 1), 2))  # 131 points
+    assert held() == 181
+    assert char_poset(family_ideal("caterpillar", (2, 2, 2), 2)) is a
+    # 22 more points evict b, the least recently used, and keep a
+    char_poset(family_ideal("caterpillar", (3, 2, 2), 1))
+    assert held() == 72
+    assert char_poset(family_ideal("caterpillar", (2, 2, 2), 2)) is a
+    assert char_poset(family_ideal("caterpillar", (3, 2, 1), 2)) is not b
+    for _ in range(2):
+        for params in ((2, 2, 2), (3, 2, 2), (3, 2, 1), (2, 2, 1)):
+            for t in (1, 2):
+                poset = char_poset(family_ideal("caterpillar", params, t))
+                assert held() <= 200
+                # P322^2 has 288 points and is never kept
+                kept = cache[next(reversed(cache))] is poset
+                assert kept == (len(poset) <= 200)
+
+
+def test_poset_above_the_bound_is_returned_but_not_kept(monkeypatch):
+    cache = fresh_poset_cache(monkeypatch, points=100)
+    small = char_poset(family_ideal("caterpillar", (2, 2, 2), 2))  # 50 points
+    ideal = family_ideal("caterpillar", (3, 2, 1), 2)  # 131 points
+    big = char_poset(ideal)
+    assert len(big) == 131
+    assert list(cache.values()) == [small]
+    again = char_poset(ideal)
+    assert again is not big and again.points == big.points
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=5))
+@settings(max_examples=150, deadline=None)
+def test_cached_poset_equals_a_cold_build(rows):
+    gens = naive_minimal(rows)
+    warm = char_poset(ideal_of(gens))
+    for d in range(len(warm.g) + 1):  # searches only read the shared poset
+        try:
+            sdepth_at_least(warm, d, max_nodes=50)
+        except ResourceCapError:
+            pass
+    assert char_poset(ideal_of(gens)) is warm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdepth_mod, "_poset_cache", OrderedDict())
+        cold = char_poset(ideal_of(gens))
+    assert cold is not warm
+    for name in CharPoset.__slots__:
+        assert getattr(warm, name) == getattr(cold, name), name
+
+
+def test_char_poset_is_read_only():
+    poset = char_poset(family_ideal("caterpillar", (2, 2, 2), 2))
+    for name in CharPoset.__slots__:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(poset, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(poset, name)
+    with pytest.raises(AttributeError):
+        poset.extra = 1
+    with pytest.raises(TypeError):
+        poset.at[0] = 0
+    for name in ("g", "points", "stride", "box", "digit", "below",
+                 "above_zero", "rho", "packed"):
+        assert isinstance(getattr(poset, name), tuple), name
+    assert all(isinstance(dj, tuple) for dj in poset.digit)
 
 
 def partition_exists(points, g, d) -> bool:
