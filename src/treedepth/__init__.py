@@ -17,17 +17,17 @@ from .depth import (BettiTable, DepthResult, betti_numbers,
 from .errors import (AmbientMismatchError, ParameterError, ResourceCapError,
                      UnknownVariableError)
 from .graphs import Graph, GraphStats, build_caterpillar, build_lobster, graph_stats
-from .monomials import (LcmLattice, Monomial, MonomialIdeal, VariableSet,
-                        colon, disjoint_sum, edge_ideal, extend_ambient,
-                        ideal_power, lcm_lattice, minimalize, polarize,
-                        restrict, sum_with_vars)
+from .monomials import (Monomial, MonomialIdeal, VariableSet, colon,
+                        disjoint_sum, edge_ideal, extend_ambient, ideal_power,
+                        lcm_lattice, minimalize, polarize, restrict,
+                        sum_with_vars)
 from .sdepth import (CharPoset, StanleyCertificate, char_poset,
                      sdepth_at_least, sdepth_quotient, verify_certificate)
 
 __all__ = [
     "AmbientMismatchError", "BettiTable", "BoundReport", "CharPoset",
-    "DepthResult", "Graph", "GraphStats", "LcmLattice", "Monomial",
-    "MonomialIdeal", "ParameterError", "ResourceCapError",
+    "DepthResult", "Graph", "GraphStats", "Monomial", "MonomialIdeal",
+    "ParameterError", "ResourceCapError",
     "StanleyCertificate", "UnknownVariableError", "VariableSet",
     "betti_numbers", "bound_caterpillar", "bound_lobster",
     "bound_prior_forest", "build_caterpillar", "build_lobster", "char_poset",

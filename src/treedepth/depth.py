@@ -209,17 +209,16 @@ def betti_numbers(ideal: MonomialIdeal, field_char: int = 32003,
         raise ParameterError("Betti numbers of the zero ideal are trivial; not supported")
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
-    lattice = lcm_lattice(ideal, cap=cap, deadline=deadline)
-    entries = {(0, Monomial.one(ideal.ambient)): 1}
+    amb = ideal.ambient
+    entries = {(0, Monomial.one(amb)): 1}
     gen_rows = ideal.exponent_rows()
-    for m in lattice.elements:
-        target = m.exponents
+    for target in lcm_lattice(gen_rows, cap=cap, deadline=deadline):
         atoms = [r for r in gen_rows
                  if all(a <= b for a, b in zip(r, target))]
         hom = _strand_homology(atoms, target, field_char, deadline)
         for j, rank in hom.items():
-            entries[(j + 2, m)] = rank
-    return BettiTable(ideal.ambient, entries, field_char)
+            entries[(j + 2, Monomial(amb, target))] = rank
+    return BettiTable(amb, entries, field_char)
 
 
 def depth_via_betti(ideal: MonomialIdeal, field_char: int = 32003,
@@ -247,17 +246,13 @@ def _proj_dim_rows(rows, p: int, cap=None, deadline=None) -> int:
     """
     used = sorted({i for r in rows for i, e in enumerate(r) if e})
     core = minimal_rows(tuple(r[i] for i in used) for r in rows)
-    amb = VariableSet(tuple(f"t{i}" for i in range(len(used))))
-    lattice = lcm_lattice(MonomialIdeal(amb, [Monomial(amb, r) for r in core]),
-                          cap=cap, deadline=deadline)
     # fits[j][e]: the atoms whose exponent at j is at most e, as a bitset
     fits = [[sum(1 << a for a, r in enumerate(core) if r[j] <= e)
              for e in range(max(r[j] for r in core) + 1)]
             for j in range(len(used))]
     walk = []
-    for m in lattice.elements:
+    for target in lcm_lattice(core, cap=cap, deadline=deadline):
         check_deadline(deadline)
-        target = m.exponents
         below = -1
         for j, e in enumerate(target):
             below &= fits[j][e]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import (AmbientMismatchError, ParameterError, ResourceCapError,
@@ -51,6 +50,9 @@ class VariableSet:
 
     def __setattr__(self, *a):
         raise AttributeError("VariableSet is immutable")
+
+    def __reduce__(self):
+        return VariableSet, (self.names,)
 
     def __len__(self):
         return len(self.names)
@@ -87,6 +89,9 @@ class Monomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return Monomial, (self.ambient, self.exponents)
 
     @staticmethod
     def one(ambient: VariableSet) -> "Monomial":
@@ -133,18 +138,6 @@ class Monomial:
         self._check(other)
         return Monomial(self.ambient,
                         tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.ambient,
-                        tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def exact_divide(self, other: "Monomial") -> "Monomial":
-        """self / other; other must divide self."""
-        if not other.divides(self):
-            raise ParameterError("inexact monomial division")
-        return Monomial(self.ambient,
-                        tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def _check(self, other: "Monomial"):
         if self.ambient != other.ambient:
@@ -193,6 +186,9 @@ class MonomialIdeal:
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialIdeal is immutable")
+
+    def __reduce__(self):
+        return MonomialIdeal, (self.ambient, self.gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -330,12 +326,14 @@ def ideal_power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(I : m), generated by g / gcd(g, m) over the generators g."""
+    """(I : m), generated by the rows max(g - m, 0) = g / gcd(g, m) over
+    the generators g, minimalized once."""
     if m.ambient != ideal.ambient:
         raise AmbientMismatchError("colon monomial not in the ideal's ambient")
-    if ideal.is_zero():
-        return ideal
-    return minimalize([g.exact_divide(g.gcd(m)) for g in ideal.gens])
+    quotients = (tuple(max(a - b, 0) for a, b in zip(r, m.exponents))
+                 for r in ideal.exponent_rows())
+    amb = ideal.ambient
+    return MonomialIdeal(amb, [Monomial(amb, r) for r in minimal_rows(quotients)])
 
 
 def sum_with_vars(ideal: MonomialIdeal, names) -> MonomialIdeal:
@@ -346,10 +344,12 @@ def sum_with_vars(ideal: MonomialIdeal, names) -> MonomialIdeal:
 
 def restrict(ideal: MonomialIdeal, name: str) -> MonomialIdeal:
     """The minor obtained by setting one variable to zero: drop every
-    generator it divides.  The ambient keeps the variable as a free one."""
+    generator it divides.  The ambient keeps the variable as a free one.
+    The generators left are a subset of a minimal canonical generating set,
+    so they are one too."""
     i = ideal.ambient.index(name)
-    return minimalize([g for g in ideal.gens if g.exponents[i] == 0],
-                      ambient=ideal.ambient)
+    return MonomialIdeal(ideal.ambient,
+                         [g for g in ideal.gens if g.exponents[i] == 0])
 
 
 def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
@@ -405,44 +405,28 @@ def disjoint_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return minimalize(gens, ambient=ambient)
 
 
-class LcmLattice:
-    """All lcms of nonempty generator subsets, ordered by divisibility.
+def lcm_lattice(rows, cap: int | None = None,
+                deadline: float | None = None) -> tuple:
+    """The lcms of all nonempty subsets of the exponent rows, as exponent
+    tuples in canonical ``(degree, row)`` order.
 
-    ``elements`` is sorted by (degree, exponent vector); the generators are
-    the atoms.
+    A worklist closes the rows under pairwise lcm.  Aborts with a resource
+    error if the element count exceeds the cap (default 200000, overridable
+    via TREEDEPTH_CAP) or once the ``time.monotonic()`` instant ``deadline``
+    has passed.
     """
-
-    __slots__ = ("ambient", "elements", "atoms")
-
-    def __init__(self, ambient, elements, atoms):
-        self.ambient = ambient
-        self.elements = tuple(elements)
-        self.atoms = tuple(atoms)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None,
-                deadline: float | None = None) -> LcmLattice:
-    """Iterative worklist closure of the generators under pairwise lcm.
-
-    Aborts with a resource error if the element count exceeds the cap
-    (default 200000, overridable via TREEDEPTH_CAP) or once the
-    ``time.monotonic()`` instant ``deadline`` has passed.
-    """
-    if ideal.is_zero():
-        raise ParameterError("zero ideal has no lcm lattice")
+    gens = set(rows)
+    if not gens:
+        raise ParameterError("no rows (the zero ideal): no lcm lattice")
     cap = _env_cap(DEFAULT_LATTICE_CAP) if cap is None else cap
-    gens = [g.exponents for g in ideal.gens]
     elems = set(gens)
-    frontier = set(gens)
+    frontier = gens
     while frontier:
         new = set()
         for f in frontier:
             check_deadline(deadline)
             for g in gens:
-                m = tuple(max(x, y) for x, y in zip(f, g))
+                m = tuple(map(max, f, g))
                 if m not in elems:
                     new.add(m)
         elems |= new
@@ -450,6 +434,4 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int | None = None,
             raise ResourceCapError(
                 f"lcm lattice exceeded cap ({len(elems)} > {cap})")
         frontier = new
-    amb = ideal.ambient
-    monos = sorted(Monomial(amb, e) for e in elems)
-    return LcmLattice(amb, monos, ideal.gens)
+    return tuple(sorted(elems, key=lambda r: (sum(r), r)))

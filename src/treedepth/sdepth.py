@@ -125,6 +125,9 @@ class CharPoset:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return CharPoset, (self.ambient, self.g, self.points)
+
     def __len__(self):
         return len(self.points)
 

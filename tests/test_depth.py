@@ -155,10 +155,11 @@ def test_depth_budget_cap():
 
 
 def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
-    # P433 at t=4 reaches, after about 0.2 s of splitting, a core of 66
-    # generators in 10 variables whose projective dimension takes about 2 s
+    # P444 at t=4 spends most of its 3 s in the projective dimension of two
+    # cores: 51 generators from about 0.4 s to 0.8 s, then 84 generators
+    # from about 0.85 s on, so a 1 s budget runs out inside the fallback
     monkeypatch.setattr(depth_mod, "_ses_memo", {})
-    ideal = family_ideal("caterpillar", (4, 3, 3), t=4)
+    ideal = family_ideal("caterpillar", (4, 4, 4), t=4)
     start = time.monotonic()
     with pytest.raises(ResourceCapError) as err:
         depth_quotient(ideal, budget_s=1)
@@ -169,7 +170,7 @@ def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
 def test_betti_and_lattice_raise_past_deadline(p22_ideal):
     past = time.monotonic() - 1
     with pytest.raises(ResourceCapError):
-        lcm_lattice(p22_ideal, deadline=past)
+        lcm_lattice(p22_ideal.exponent_rows(), deadline=past)
     with pytest.raises(ResourceCapError):
         betti_numbers(p22_ideal, deadline=past)
 
@@ -184,7 +185,7 @@ def test_proj_dim_raises_past_deadline(p22_ideal, monkeypatch):
     # past the lattice, the walk itself checks the deadline
     real_lattice = depth_mod.lcm_lattice
     monkeypatch.setattr(depth_mod, "lcm_lattice",
-                        lambda ideal, cap, deadline: real_lattice(ideal, cap))
+                        lambda rows, cap, deadline: real_lattice(rows, cap))
     with pytest.raises(ResourceCapError):
         depth_mod._proj_dim_rows(rows, 32003, deadline=past)
 

@@ -178,7 +178,7 @@ def test_proj_dim_walk_on_s422_visits_37_of_879_elements(monkeypatch):
 
     monkeypatch.setattr(depth_mod, "_high_homology", counting)
     ideal = family_ideal("lobster", (4, 2, 2))
-    assert len(lcm_lattice(ideal)) == 879
+    assert len(lcm_lattice(ideal.exponent_rows())) == 879
     assert depth_mod._proj_dim_rows(ideal.exponent_rows(), 32003) == 9
     assert len(visited) == 37
     assert depth_via_betti(ideal).depth == 4

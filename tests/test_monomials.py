@@ -1,15 +1,18 @@
+import copy
 import json
-from itertools import combinations_with_replacement
+import pickle
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treedepth import (AmbientMismatchError, Monomial, MonomialIdeal,
-                       ParameterError, ResourceCapError, UnknownVariableError,
-                       VariableSet, build_caterpillar, build_lobster, colon,
+from treedepth import (AmbientMismatchError, CharPoset, Monomial,
+                       MonomialIdeal, ParameterError, ResourceCapError,
+                       UnknownVariableError, VariableSet, build_caterpillar,
+                       build_lobster, char_poset, colon, depth_quotient,
                        edge_ideal, ideal_power, lcm_lattice, minimalize,
-                       polarize, restrict, sum_with_vars)
+                       polarize, restrict, sdepth_quotient, sum_with_vars)
 from conftest import family_ideal, mk_ideal
 
 
@@ -201,6 +204,21 @@ def test_restrict_untouched_and_unknown():
         restrict(ideal, "w")
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_restrict_is_setting_the_variable_to_zero(data):
+    ideal = minimalize(data.draw(gen_sets()))
+    amb = ideal.ambient
+    i = data.draw(st.integers(0, len(amb) - 1))
+    minor = restrict(ideal, amb.names[i])
+    # a subset of a minimal generating set needs no minimalizing
+    assert minor == minimalize([g for g in ideal.gens if not g.exponents[i]],
+                               ambient=amb)
+    exps = data.draw(st.tuples(*[st.integers(0, 2)] * len(amb)))
+    zeroed = exps[:i] + (0,) + exps[i + 1:]
+    assert minor.contains(Monomial(amb, exps)) == ideal.contains(Monomial(amb, zeroed))
+
+
 # ---------------------------------------------------------------------------
 # polarization
 # ---------------------------------------------------------------------------
@@ -233,47 +251,46 @@ def test_polarize_two_variables():
 # ---------------------------------------------------------------------------
 
 def test_lattice_two_generators():
-    ideal = mk_ideal(("x", "y", "z"), {"x": 1, "y": 1}, {"y": 1, "z": 1})
-    lattice = lcm_lattice(ideal)
-    assert sorted(sorted(m.to_dict()) for m in lattice.elements) == [
-        ["x", "y"], ["x", "y", "z"], ["y", "z"]]
+    rows = [(1, 1, 0), (0, 1, 1)]
+    assert lcm_lattice(rows) == ((0, 1, 1), (1, 1, 0), (1, 1, 1))
 
 
 def test_lattice_triangle():
-    ideal = mk_ideal(("x", "y", "z"), {"x": 1, "y": 1}, {"y": 1, "z": 1},
-                     {"x": 1, "z": 1})
-    assert len(lcm_lattice(ideal)) == 4
+    rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    assert len(lcm_lattice(rows)) == 4
 
 
-def test_lattice_matches_subset_enumeration(p22_ideal):
-    # oracle: all 2^3 - 1 nonempty generator subsets
-    gens = p22_ideal.gens
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_lattice_matches_subset_enumeration(rows):
+    # oracle: the lcm of every nonempty subset of the rows
     seen = set()
-    for size in range(1, len(gens) + 1):
-        from itertools import combinations
-        for combo in combinations(gens, size):
-            m = combo[0]
-            for g in combo[1:]:
-                m = m.lcm(g)
-            seen.add(m)
-    assert len(seen) == 6  # frozen from the oracle
-    lattice = lcm_lattice(p22_ideal)
-    assert set(lattice.elements) == seen
-    assert lattice.atoms == gens
+    for size in range(1, len(rows) + 1):
+        for combo in combinations(rows, size):
+            seen.add(tuple(max(column) for column in zip(*combo)))
+    lattice = lcm_lattice(rows)
+    assert set(lattice) == seen and len(lattice) == len(seen)
+    assert list(lattice) == sorted(lattice, key=lambda r: (sum(r), r))
+
+
+def test_lattice_of_no_rows_is_refused():
+    with pytest.raises(ParameterError):
+        lcm_lattice([])
 
 
 def test_lattice_cap_fires():
     ideal = family_ideal("caterpillar", (3, 3, 3))
     with pytest.raises(ResourceCapError):
-        lcm_lattice(ideal, cap=10)
+        lcm_lattice(ideal.exponent_rows(), cap=10)
 
 
 def test_lattice_cap_env_override(monkeypatch, p22_ideal):
+    rows = p22_ideal.exponent_rows()
     monkeypatch.setenv("TREEDEPTH_CAP", "3")
     with pytest.raises(ResourceCapError):
-        lcm_lattice(p22_ideal)
+        lcm_lattice(rows)
     monkeypatch.setenv("TREEDEPTH_CAP", "100")
-    assert len(lcm_lattice(p22_ideal)) == 6
+    assert len(lcm_lattice(rows)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +307,19 @@ def test_ideal_json_round_trip(p22_ideal):
     back = MonomialIdeal.from_json(text)
     assert back == square
     assert back.to_json() == text
+
+
+def test_values_survive_pickle_and_copy(p22_ideal):
+    square = ideal_power(p22_ideal, 2)
+    poset = char_poset(square)
+    _value, cert = sdepth_quotient(square)
+    values = [square.ambient, square.gens[0], square, cert, depth_quotient(square)]
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for value in values:
+            assert clone(value) == value
+        rebuilt = clone(poset)
+        assert rebuilt is not poset
+        for field in CharPoset.__slots__:
+            assert getattr(rebuilt, field) == getattr(poset, field), field
+        with pytest.raises(AttributeError):
+            rebuilt.g = ()
