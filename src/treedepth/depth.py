@@ -211,7 +211,7 @@ def betti_numbers(ideal: MonomialIdeal, field_char: int = 32003,
         raise ParameterError("improper ideal (contains a unit)")
     amb = ideal.ambient
     entries = {(0, Monomial.one(amb)): 1}
-    gen_rows = ideal.exponent_rows()
+    gen_rows = ideal.rows
     for target in lcm_lattice(gen_rows, cap=cap, deadline=deadline):
         atoms = [r for r in gen_rows
                  if all(a <= b for a, b in zip(r, target))]
@@ -231,7 +231,7 @@ def depth_via_betti(ideal: MonomialIdeal, field_char: int = 32003,
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
     squarefree, shift = polarize(ideal)
-    pd = _proj_dim_rows(squarefree.exponent_rows(), field_char, cap)
+    pd = _proj_dim_rows(squarefree.rows, field_char, cap)
     return DepthResult(n - pd, pd, n, field_char, "lcm_lattice_homology")
 
 
@@ -500,8 +500,9 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
                    budget_s: float | None = None) -> DepthResult:
     """Exact depth(S/I) for a monomial ideal I.
 
-    The zero ideal has depth equal to the ambient size.  Free variables and
-    support-disjoint components are split off before any other work; the
+    The zero ideal has depth equal to the ambient size.  The ideal's rows
+    are minimal already, so they go to the engine as they are.  Free
+    variables and support-disjoint components are split off first; the
     remaining cores are resolved by exact-sequence splitting with a Betti
     fallback (see module docstring).  ``budget_s`` bounds the whole
     computation, the Betti fallback included.
@@ -513,8 +514,7 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
     if not ideal.is_proper():
         raise ParameterError("improper ideal (contains a unit)")
     deadline = deadline_after(budget_s)
-    # a MonomialIdeal built directly from generators need not be minimal
-    rows = minimal_rows(g.exponents for g in ideal.gens)
+    rows = ideal.rows
     with recursion_limit(20 * sum(sum(r) for r in rows) + 10000):
         d = _depth_rec(rows, n, field_char, deadline)
     return DepthResult(d, n - d, n, field_char, "ses_splitting")
@@ -558,11 +558,10 @@ def hochster_betti_table(ideal: MonomialIdeal, field_char: int = 32003) -> Betti
         raise ParameterError(f"Hochster oracle limited to 16 variables, got {n}")
     if ideal.is_zero() or not ideal.is_proper():
         raise ParameterError("oracle needs a nonzero proper ideal")
-    if not all(g.is_squarefree() for g in ideal.gens):
+    if not all(e <= 1 for r in ideal.rows for e in r):
         raise ParameterError("Hochster oracle requires a squarefree ideal")
 
-    gen_masks = [sum(1 << i for i, e in enumerate(g.exponents) if e)
-                 for g in ideal.gens]
+    gen_masks = [sum(1 << i for i, e in enumerate(r) if e) for r in ideal.rows]
     entries = {(0, Monomial.one(ideal.ambient)): 1}
     for size in range(n + 1):
         for sigma in combinations(range(n), size):

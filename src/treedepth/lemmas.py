@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 from .depth import depth_quotient
 from .graphs import Graph, build_caterpillar, build_lobster
-from .monomials import (Monomial, MonomialIdeal, colon, disjoint_sum,
-                        edge_ideal, extend_ambient, ideal_power, minimalize,
-                        restrict, sum_with_vars)
+from .monomials import (Monomial, MonomialIdeal, VariableSet, colon,
+                        disjoint_sum, edge_ideal, extend_ambient, ideal_power,
+                        minimalize, restrict, sum_with_vars)
 from .sdepth import sdepth_quotient
 
 
@@ -200,10 +200,7 @@ def suite_structural(seed: int, cases: int, field_char: int = 32003) -> SuiteRes
 
 
 def _rename(ideal: MonomialIdeal, prefix: str) -> MonomialIdeal:
-    from .monomials import VariableSet
-    ambient = VariableSet(tuple(prefix + v for v in ideal.ambient.names))
-    return MonomialIdeal(ambient,
-                         [Monomial(ambient, g.exponents) for g in ideal.gens])
+    return MonomialIdeal(VariableSet(prefix + v for v in ideal.ambient.names), ideal.rows)
 
 
 def run_all(seed: int, cases: int, inject_fault: bool = False,

@@ -1,9 +1,10 @@
 """Monomial ideal kernel: edge ideals, powers, colons, restrictions,
 polarization and the lcm lattice.
 
-Monomials carry dense exponent tuples over an ordered ``VariableSet``; an
-ideal is represented by its unique minimal (divisibility-reduced) generating
-set, kept in a canonical sort so ideal equality is plain tuple equality.
+An ideal holds only the exponent rows of its minimal generators over an
+ordered ``VariableSet``, in canonical order, so ideal equality is tuple
+equality.  Its constructor minimalizes whatever rows it is given, so the
+operations below pass it raw rows; ``Monomial`` is for the API edge.
 
 Every minimal generating set, here and in the depth engine, comes from one
 tuple kernel, :func:`minimal_rows`.  Its output is in canonical
@@ -72,6 +73,17 @@ class VariableSet:
         except KeyError:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
 
+    def sparse(self, row) -> dict:
+        """The exponent row as ``{name: exponent}`` over its nonzero entries."""
+        return {name: e for name, e in zip(self.names, row) if e}
+
+    def dense(self, mapping) -> tuple:
+        """The exponent row of a ``{name: exponent}`` mapping."""
+        row = [0] * len(self.names)
+        for name, e in mapping.items():
+            row[self.index(name)] = int(e)
+        return tuple(row)
+
 
 class Monomial:
     """A monomial x^a as a dense exponent tuple over a VariableSet."""
@@ -99,31 +111,20 @@ class Monomial:
 
     @staticmethod
     def variable(ambient: VariableSet, name: str) -> "Monomial":
-        i = ambient.index(name)
-        return Monomial(ambient, tuple(1 if j == i else 0 for j in range(len(ambient))))
+        return Monomial(ambient, ambient.dense({name: 1}))
 
     @staticmethod
     def from_dict(ambient: VariableSet, sparse: dict) -> "Monomial":
-        exps = [0] * len(ambient)
-        for name, e in sparse.items():
-            exps[ambient.index(name)] = int(e)
-        return Monomial(ambient, exps)
+        return Monomial(ambient, ambient.dense(sparse))
 
     def to_dict(self) -> dict:
-        return {self.ambient.names[i]: e
-                for i, e in enumerate(self.exponents) if e}
-
-    def degree(self) -> int:
-        return sum(self.exponents)
+        return self.ambient.sparse(self.exponents)
 
     def support(self) -> tuple[str, ...]:
         return tuple(self.ambient.names[i] for i, e in enumerate(self.exponents) if e)
 
     def is_one(self) -> bool:
         return not any(self.exponents)
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
@@ -134,17 +135,12 @@ class Monomial:
         return Monomial(self.ambient,
                         tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.ambient,
-                        tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def _check(self, other: "Monomial"):
         if self.ambient != other.ambient:
             raise AmbientMismatchError("monomials live in different variable sets")
 
     def sort_key(self):
-        return (self.degree(), self.exponents)
+        return (sum(self.exponents), self.exponents)
 
     def __eq__(self, other):
         return (isinstance(other, Monomial)
@@ -171,57 +167,73 @@ class Monomial:
 
 
 class MonomialIdeal:
-    """A monomial ideal held by its minimal generating set.
+    """A monomial ideal held by the exponent rows of its minimal generators.
 
-    Construct through :func:`minimalize` (or the ideal operations below),
-    which guarantee minimality and canonical generator order.  The zero
-    ideal has an empty generator tuple.
+    The constructor takes any iterable of exponent rows over ``ambient``
+    and keeps their :func:`minimal_rows`, so every instance is minimal and
+    in canonical ``(degree, row)`` order, and equal ideals have equal rows.
+    The zero ideal has no rows; the unit ideal has the one row of zeros.
     """
 
-    __slots__ = ("ambient", "gens")
+    __slots__ = ("ambient", "rows")
 
-    def __init__(self, ambient: VariableSet, gens):
+    def __init__(self, ambient: VariableSet, rows):
+        rows = set(map(tuple, rows))
+        n = len(ambient)
+        if any(len(r) != n for r in rows):
+            raise ParameterError("exponent vector length does not match ambient")
+        rows = minimal_rows(rows)
+        # a row with a negative entry is divided only by rows negative in
+        # the same place, so one of them is among the minimal rows
+        if rows and n and min(map(min, rows)) < 0:
+            raise ParameterError("negative exponent")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("MonomialIdeal is immutable")
 
     def __reduce__(self):
-        return MonomialIdeal, (self.ambient, self.gens)
+        return MonomialIdeal, (self.ambient, self.rows)
+
+    @property
+    def gens(self) -> tuple:
+        """The minimal generators as monomials, built on each call."""
+        return tuple(Monomial(self.ambient, r) for r in self.rows)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.rows
 
     def is_proper(self) -> bool:
-        return not any(g.is_one() for g in self.gens)
+        # canonical order puts the unit row, of degree 0, first
+        return not self.rows or any(self.rows[0])
 
     def num_vars(self) -> int:
         return len(self.ambient)
 
     def contains(self, m: Monomial) -> bool:
         """Membership: x^a is in the ideal iff some generator divides it."""
-        return any(g.divides(m) for g in self.gens)
-
-    def exponent_rows(self) -> list[tuple[int, ...]]:
-        return [g.exponents for g in self.gens]
+        if m.ambient != self.ambient:
+            raise AmbientMismatchError("monomial not in the ideal's ambient")
+        return any(all(a <= b for a, b in zip(r, m.exponents))
+                   for r in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
                 and self.ambient == other.ambient
-                and self.gens == other.gens)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.gens))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self):
-        inner = ", ".join(map(repr, self.gens)) if self.gens else "0"
+        inner = ", ".join(map(repr, self.gens)) if self.rows else "0"
         return f"MonomialIdeal({inner})"
 
     def to_json(self) -> str:
         obj = {
             "vars": list(self.ambient.names),
-            "gens": [g.to_dict() for g in self.gens],
+            "gens": [self.ambient.sparse(r) for r in self.rows],
         }
         return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
 
@@ -229,8 +241,7 @@ class MonomialIdeal:
     def from_json(text: str) -> "MonomialIdeal":
         obj = json.loads(text)
         ambient = VariableSet(obj["vars"])
-        gens = [Monomial.from_dict(ambient, d) for d in obj["gens"]]
-        return minimalize(gens, ambient=ambient)
+        return MonomialIdeal(ambient, [ambient.dense(d) for d in obj["gens"]])
 
 
 def minimal_rows(rows) -> tuple:
@@ -279,7 +290,7 @@ def _divided(row, mask: int, masked_rows) -> bool:
 
 
 def minimalize(gens, ambient: VariableSet | None = None) -> MonomialIdeal:
-    """Divisibility-minimal subset of ``gens`` in canonical order.
+    """The ideal generated by the monomials ``gens``.
 
     All monomials must share one ambient; ``ambient`` is only needed for an
     empty generator collection (the zero ideal).
@@ -295,61 +306,50 @@ def minimalize(gens, ambient: VariableSet | None = None) -> MonomialIdeal:
     for g in gens[1:]:
         if g.ambient != amb:
             raise AmbientMismatchError("generators live in different variable sets")
-    by_row = {g.exponents: g for g in gens}
-    return MonomialIdeal(amb, [by_row[r] for r in minimal_rows(by_row)])
+    return MonomialIdeal(amb, (g.exponents for g in gens))
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """The ideal generated by x_i*x_j over the edges of g, with the graph's
     vertex order as the variable order."""
     ambient = VariableSet(g.vertices)
-    gens = []
-    for a, b in g.sorted_edges():
-        exps = [0] * len(ambient)
-        exps[ambient.index(a)] += 1
-        exps[ambient.index(b)] += 1
-        gens.append(Monomial(ambient, exps))
-    return minimalize(gens, ambient=ambient)
+    return MonomialIdeal(ambient, [ambient.dense({a: 1, b: 1})
+                                   for a, b in g.sorted_edges()])
 
 
 def ideal_power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
-    """Minimal generating set of the t-th power: the degree-t multiset
-    products of the generators, minimalized once."""
+    """The t-th power, generated by the degree-t multiset products of the
+    generators."""
     if t < 1:
         raise ParameterError(f"power must be >= 1, got {t}")
     if t == 1 or ideal.is_zero():
         return ideal
-    products = {tuple(map(sum, zip(*combo))) for combo in
-                combinations_with_replacement(ideal.exponent_rows(), t)}
-    amb = ideal.ambient
-    return MonomialIdeal(amb, [Monomial(amb, r) for r in minimal_rows(products)])
+    return MonomialIdeal(ideal.ambient, (
+        tuple(map(sum, zip(*combo)))
+        for combo in combinations_with_replacement(ideal.rows, t)))
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """(I : m), generated by the rows max(g - m, 0) = g / gcd(g, m) over
-    the generators g, minimalized once."""
+    the generators g."""
     if m.ambient != ideal.ambient:
         raise AmbientMismatchError("colon monomial not in the ideal's ambient")
-    quotients = (tuple(max(a - b, 0) for a, b in zip(r, m.exponents))
-                 for r in ideal.exponent_rows())
-    amb = ideal.ambient
-    return MonomialIdeal(amb, [Monomial(amb, r) for r in minimal_rows(quotients)])
+    return MonomialIdeal(ideal.ambient, (
+        tuple(max(a - b, 0) for a, b in zip(r, m.exponents))
+        for r in ideal.rows))
 
 
 def sum_with_vars(ideal: MonomialIdeal, names) -> MonomialIdeal:
-    """Minimal generators of I + (the listed variables)."""
-    extra = [Monomial.variable(ideal.ambient, n) for n in names]
-    return minimalize(list(ideal.gens) + extra, ambient=ideal.ambient)
+    """I + (the listed variables)."""
+    units = tuple(ideal.ambient.dense({name: 1}) for name in names)
+    return MonomialIdeal(ideal.ambient, ideal.rows + units)
 
 
 def restrict(ideal: MonomialIdeal, name: str) -> MonomialIdeal:
     """The minor obtained by setting one variable to zero: drop every
-    generator it divides.  The ambient keeps the variable as a free one.
-    The generators left are a subset of a minimal canonical generating set,
-    so they are one too."""
+    generator it divides.  The ambient keeps the variable as a free one."""
     i = ideal.ambient.index(name)
-    return MonomialIdeal(ideal.ambient,
-                         [g for g in ideal.gens if g.exponents[i] == 0])
+    return MonomialIdeal(ideal.ambient, (r for r in ideal.rows if not r[i]))
 
 
 def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
@@ -360,20 +360,17 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     Returns (polarized ideal, number of added variables); the caller owns
     the depth bookkeeping depth(S/I) = depth(S'/I') - shift.
     """
-    if all(g.is_squarefree() for g in ideal.gens):
+    rows = ideal.rows
+    if all(e <= 1 for r in rows for e in r):
         return ideal, 0
     n = len(ideal.ambient)
-    rows = ideal.exponent_rows()
-    maxexp = [max((r[i] for r in rows), default=0) for i in range(n)]
-    extra = []
-    for i in range(n):
-        for copy in range(1, maxexp[i]):
-            extra.append((i, copy))
+    extra = [(i, copy) for i in range(n)
+             for copy in range(1, max(r[i] for r in rows))]
     names = list(ideal.ambient.names) + [
         f"{ideal.ambient.names[i]}~{copy}" for i, copy in extra]
     new_ambient = VariableSet(names)
     copy_index = {pair: n + k for k, pair in enumerate(extra)}
-    new_gens = []
+    new_rows = []
     for r in rows:
         exps = [0] * len(new_ambient)
         for i, e in enumerate(r):
@@ -381,16 +378,16 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
                 exps[i] = 1
             for copy in range(1, e):
                 exps[copy_index[(i, copy)]] = 1
-        new_gens.append(Monomial(new_ambient, exps))
-    return minimalize(new_gens, ambient=new_ambient), len(extra)
+        new_rows.append(exps)
+    return MonomialIdeal(new_ambient, new_rows), len(extra)
 
 
 def extend_ambient(ideal: MonomialIdeal, extra_names) -> MonomialIdeal:
     """The same ideal viewed in a larger ring with fresh variables appended."""
-    new_ambient = VariableSet(ideal.ambient.names + tuple(extra_names))
-    pad = (0,) * len(tuple(extra_names))
-    gens = [Monomial(new_ambient, g.exponents + pad) for g in ideal.gens]
-    return MonomialIdeal(new_ambient, gens)
+    extra_names = tuple(extra_names)
+    pad = (0,) * len(extra_names)
+    return MonomialIdeal(VariableSet(ideal.ambient.names + extra_names),
+                         (r + pad for r in ideal.rows))
 
 
 def disjoint_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -400,9 +397,8 @@ def disjoint_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     ambient = VariableSet(a.ambient.names + b.ambient.names)
     pad_a = (0,) * len(b.ambient)
     pad_b = (0,) * len(a.ambient)
-    gens = [Monomial(ambient, g.exponents + pad_a) for g in a.gens]
-    gens += [Monomial(ambient, pad_b + g.exponents) for g in b.gens]
-    return minimalize(gens, ambient=ambient)
+    rows = [r + pad_a for r in a.rows] + [pad_b + r for r in b.rows]
+    return MonomialIdeal(ambient, rows)
 
 
 def lcm_lattice(rows, cap: int | None = None,

@@ -227,7 +227,7 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
         raise ParameterError("characteristic poset needs a proper ideal")
     cap = _env_cap(DEFAULT_BOX_CAP) if cap is None else cap
     n = ideal.num_vars()
-    rows = ideal.exponent_rows()
+    rows = ideal.rows
     g = tuple(max((r[i] for r in rows), default=0) for i in range(n))
     volume = 1
     for e in g:
@@ -235,7 +235,7 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
         if volume > cap:
             raise ResourceCapError(
                 f"characteristic poset box exceeds cap ({volume} > {cap})")
-    key = (ideal.ambient, tuple(rows))
+    key = (ideal.ambient, rows)
     with _poset_cache_lock:
         poset = _poset_cache.get(key)
         if poset is not None:
@@ -292,8 +292,7 @@ class StanleyCertificate:
     intervals: tuple  # of (a, b) exponent tuples
 
     def to_json(self) -> str:
-        def sparse(t):
-            return {self.ambient.names[i]: e for i, e in enumerate(t) if e}
+        sparse = self.ambient.sparse
         obj = {
             "g": sparse(self.g),
             "claimed_d": self.claimed_d,
@@ -305,13 +304,7 @@ class StanleyCertificate:
     @staticmethod
     def from_json(text: str, ambient: VariableSet) -> "StanleyCertificate":
         obj = json.loads(text)
-
-        def dense(d):
-            exps = [0] * len(ambient)
-            for name, e in d.items():
-                exps[ambient.index(name)] = int(e)
-            return tuple(exps)
-
+        dense = ambient.dense
         return StanleyCertificate(
             ambient, dense(obj["g"]), int(obj["claimed_d"]),
             tuple((dense(iv["a"]), dense(iv["b"])) for iv in obj["intervals"]))

@@ -170,14 +170,14 @@ def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
 def test_betti_and_lattice_raise_past_deadline(p22_ideal):
     past = time.monotonic() - 1
     with pytest.raises(ResourceCapError):
-        lcm_lattice(p22_ideal.exponent_rows(), deadline=past)
+        lcm_lattice(p22_ideal.rows, deadline=past)
     with pytest.raises(ResourceCapError):
         betti_numbers(p22_ideal, deadline=past)
 
 
 def test_proj_dim_raises_past_deadline(p22_ideal, monkeypatch):
     past = time.monotonic() - 1
-    rows = p22_ideal.exponent_rows()
+    rows = p22_ideal.rows
     with pytest.raises(ResourceCapError):
         depth_mod._proj_dim_rows(rows, 32003, deadline=past)
     with pytest.raises(ResourceCapError):

@@ -14,6 +14,7 @@ from treedepth import (AmbientMismatchError, CharPoset, Monomial,
                        edge_ideal, ideal_power, lcm_lattice, minimalize,
                        polarize, restrict, sdepth_quotient, sum_with_vars)
 from conftest import family_ideal, mk_ideal
+from test_fast_paths import naive_minimal
 
 
 def brute_minimal(monomials):
@@ -77,6 +78,44 @@ def test_minimalize_idempotent_and_order_independent(gens):
         assert not any(h != g and h.divides(g) for h in first.gens)
     for g in gens:
         assert first.contains(g)
+
+
+@st.composite
+def redundant_rows(draw):
+    """Row lists with repeats, multiples of earlier rows and sometimes the
+    unit row, in any order."""
+    n = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(0, 2)] * n)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for r in draw(st.lists(st.sampled_from(rows), max_size=5)):
+        # a repeat when the shift is zero, a proper multiple otherwise
+        rows.append(tuple(map(sum, zip(r, draw(row)))))
+    if draw(st.integers(0, 3)) == 0:
+        rows.append((0,) * n)
+    return draw(st.permutations(rows))
+
+
+@given(redundant_rows())
+@settings(max_examples=200, deadline=None)
+def test_constructor_keeps_only_the_minimal_rows(rows):
+    amb = VariableSet(tuple(f"x{i}" for i in range(len(rows[0]))))
+    ideal = MonomialIdeal(amb, rows)
+    minimal = naive_minimal(rows)
+    assert ideal.rows == minimal
+    assert ideal == minimalize([Monomial(amb, r) for r in rows], ambient=amb)
+    if ideal.is_proper():
+        assert char_poset(ideal) is char_poset(MonomialIdeal(amb, minimal))
+
+
+@pytest.mark.parametrize("rows", [
+    [(1,)], [(1, 0, 0)], [(1, -1)],
+    # each bad row below is divided by a good one, so it must be refused
+    # before minimalization would drop it
+    [(0, 0), (1,)], [(1, 0), (1, 0, 5)], [(1, 1), (0, -1)],
+])
+def test_constructor_refuses_bad_rows(rows):
+    with pytest.raises(ParameterError):
+        MonomialIdeal(VariableSet(("x", "y")), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +320,11 @@ def test_lattice_of_no_rows_is_refused():
 def test_lattice_cap_fires():
     ideal = family_ideal("caterpillar", (3, 3, 3))
     with pytest.raises(ResourceCapError):
-        lcm_lattice(ideal.exponent_rows(), cap=10)
+        lcm_lattice(ideal.rows, cap=10)
 
 
 def test_lattice_cap_env_override(monkeypatch, p22_ideal):
-    rows = p22_ideal.exponent_rows()
+    rows = p22_ideal.rows
     monkeypatch.setenv("TREEDEPTH_CAP", "3")
     with pytest.raises(ResourceCapError):
         lcm_lattice(rows)
