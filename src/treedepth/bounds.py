@@ -146,7 +146,7 @@ def compare(family: str, params: tuple, t: int, compute_exact: bool = False,
 
     deadline = deadline_after(budget_s)
     try:
-        ideal = ideal_power(edge_ideal(graph), t)
+        ideal = ideal_power(edge_ideal(graph), t, deadline=deadline)
     except ResourceCapError:
         report.depth_capped = True
         report.sdepth_capped = True

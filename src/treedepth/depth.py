@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (ParameterError, check_deadline, deadline_after,
                      recursion_limit)
 from .monomials import (Monomial, MonomialIdeal, VariableSet, _divided,
-                        _support_mask, lcm_lattice, minimal_rows, polarize)
+                        _support_mask, lcm_lattice, polarize)
 
 _INFINITE_DEPTH = 10 ** 9  # stands in for depth of the zero module S/S
 
@@ -236,16 +236,18 @@ def depth_via_betti(ideal: MonomialIdeal, field_char: int = 32003,
 
 
 def _proj_dim_rows(rows, p: int, cap=None, deadline=None) -> int:
-    """pd(S/I) over GF(p) from the exponent rows of a nonzero proper I.
+    """pd(S/I) over GF(p) from the minimal generators ``rows`` of a nonzero
+    proper I, in canonical ``(degree, row)`` order.
 
     Free variables are irrelevant to pd, so the rows are shrunk to their
-    joint support first.  The lattice is walked in descending order of the
-    bound b(m) (see the module docstring) and the walk stops once no
-    element left can beat the best pd found; each visited element is asked
-    only for homology above that pd.
+    joint support first; dropping columns that are zero in every row keeps
+    them minimal, distinct and canonical.  The lattice is walked in
+    descending order of the bound b(m) (see the module docstring) and the
+    walk stops once no element left can beat the best pd found; each
+    visited element is asked only for homology above that pd.
     """
     used = sorted({i for r in rows for i, e in enumerate(r) if e})
-    core = minimal_rows(tuple(r[i] for i in used) for r in rows)
+    core = [tuple(r[i] for i in used) for r in rows]
     # fits[j][e]: the atoms whose exponent at j is at most e, as a bitset
     fits = [[sum(1 << a for a, r in enumerate(core) if r[j] <= e)
              for e in range(max(r[j] for r in core) + 1)]
@@ -402,30 +404,29 @@ def _components(masks):
     return comps
 
 
-def _colon_rows(rows, i):
+def _colon_rows(rows, masks, i):
     """Minimal generators of (I : x_i), canonically sorted, from the minimal
-    generators ``rows`` of I.
+    generators ``rows`` of I and their support masks ``masks``.
 
     Lowering a row at i keeps the lowered rows an antichain, and no
     untouched row (exponent 0 at i) divides a lowered one.  A lowered row
     divides an untouched row only if it is 0 at i, i.e. its exponent there
-    was 1, so only those are tested against the untouched rows.
+    was 1, so only those are tested against the untouched rows, with
+    masks read off ``masks``: lowering a 1 at i clears bit i.
     """
     lowered, untouched, was_one = [], [], []
-    for r in rows:
+    for r, m in zip(rows, masks):
         e = r[i]
         if e:
             low = r[:i] + (e - 1,) + r[i + 1:]
             lowered.append(low)
             if e == 1:
-                was_one.append(low)
+                was_one.append((m ^ 1 << i, low))
         else:
-            untouched.append(r)
-    if was_one:
-        masked = [(_support_mask(w), w) for w in was_one]
-        untouched = [u for u in untouched
-                     if not _divided(u, _support_mask(u), masked)]
-    return tuple(sorted(lowered + untouched, key=lambda r: (sum(r), r)))
+            untouched.append((m, r))
+    lowered.extend(u for m, u in untouched
+                   if not (was_one and _divided(u, m, was_one)))
+    return tuple(sorted(lowered, key=lambda r: (sum(r), r)))
 
 
 def _depth_rec(rows, nvars, p, deadline) -> int:
@@ -473,7 +474,7 @@ def _depth_rec(rows, nvars, p, deadline) -> int:
 
     candidates = []
     for i in order:
-        colon_rows = _colon_rows(rows, i)
+        colon_rows = _colon_rows(rows, masks, i)
         sum_rows = tuple(r[:i] + r[i + 1:] for r in rows if r[i] == 0)
         d_colon = _depth_rec(colon_rows, nvars, p, deadline)
         d_sum = _depth_rec(sum_rows, nvars - 1, p, deadline)

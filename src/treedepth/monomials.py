@@ -317,16 +317,32 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
                                    for a, b in g.sorted_edges()])
 
 
-def ideal_power(ideal: MonomialIdeal, t: int) -> MonomialIdeal:
+def ideal_power(ideal: MonomialIdeal, t: int,
+                deadline: float | None = None) -> MonomialIdeal:
     """The t-th power, generated by the degree-t multiset products of the
-    generators."""
+    generators.
+
+    Past the ``time.monotonic()`` instant ``deadline`` the product loop
+    raises :class:`ResourceCapError`; it checks once every 1024 products.
+    """
     if t < 1:
         raise ParameterError(f"power must be >= 1, got {t}")
     if t == 1 or ideal.is_zero():
         return ideal
-    return MonomialIdeal(ideal.ambient, (
-        tuple(map(sum, zip(*combo)))
-        for combo in combinations_with_replacement(ideal.rows, t)))
+    combos = combinations_with_replacement(ideal.rows, t)
+    if deadline is not None:
+        combos = _until(deadline, combos)
+    return MonomialIdeal(ideal.ambient,
+                         (tuple(map(sum, zip(*combo))) for combo in combos))
+
+
+def _until(deadline: float, items, every: int = 1024):
+    """``items`` as they come, checking ``deadline`` before every
+    ``every``-th one."""
+    for k, item in enumerate(items):
+        if not k % every:
+            check_deadline(deadline)
+        yield item
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -360,34 +360,32 @@ def sdepth_at_least(poset: CharPoset, d: int,
             tops_cache[i] = cached
         return cached
 
-    SCAN_LIMIT = 96  # minimal points examined per region for branching
-
-    def has_saturating_matching(minimals, key):
+    def has_saturating_matching(lives):
         """Distinct intervals end at distinct tops, and every minimal point
         of the region bottoms its own interval, so the minimal points must
-        match injectively into the region's top-capable points."""
+        match injectively into their live tops, listed in ``lives``."""
         matched: dict[int, int] = {}
 
-        def augment(p, seen):
-            for t in tops_of(p):
-                if key[t >> 3] >> (t & 7) & 1 and t not in seen:
+        def augment(k, seen):
+            for t in lives[k]:
+                if t not in seen:
                     seen.add(t)
                     if t not in matched or augment(matched[t], seen):
-                        matched[t] = p
+                        matched[t] = k
                         return True
             return False
 
-        return all(augment(p, set()) for p in minimals)
+        return all(augment(k, set()) for k in range(len(lives)))
 
     def solve(region: int):
         """Interval partition of one connected uncovered region, or None.
 
         An interval is order-connected, so after a placement the leftover
         region is solved component by component; memoizing per region makes
-        placements commute instead of multiplying.  Branching happens at
-        the most constrained minimal point of the region: such a point must
-        bottom its own interval, and the fewer its live tops the faster a
-        dead branch is refuted.
+        placements commute instead of multiplying.  Every minimal point of
+        the region bottoms its own interval; branching happens at the first
+        one with the fewest live tops (tops inside the region), where a
+        dead branch is refuted fastest.
         """
         nonlocal nodes
         key = key_of(region)
@@ -404,19 +402,13 @@ def sdepth_at_least(poset: CharPoset, d: int,
         if region & ~(top_mask | poset.has_up(region)):
             memo[key] = None
             return None
-        best = None
         minimals = poset.minimal(region)
-        for i in minimals[:SCAN_LIMIT]:
-            live = [ti for ti in tops_of(i) if key[ti >> 3] >> (ti & 7) & 1]
-            if not live:
-                memo[key] = None
-                return None
-            if best is None or len(live) < len(best[1]):
-                best = (i, live)
-        if not has_saturating_matching(minimals, key):
+        lives = [[ti for ti in tops_of(i) if key[ti >> 3] >> (ti & 7) & 1]
+                 for i in minimals]
+        if not all(lives) or not has_saturating_matching(lives):
             memo[key] = None
             return None
-        i, live = best
+        i, live = min(zip(minimals, lives), key=lambda il: len(il[1]))
         p = pts[i]
         for ti in live:
             block = poset.cube(p, pts[ti])
@@ -479,11 +471,14 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
 
 
 def verify_certificate(poset: CharPoset, cert: StanleyCertificate) -> bool:
-    """Standalone certificate check: pairwise-disjoint intervals, exact cover
-    of the poset, and every top at rho >= claimed_d.
+    """Standalone certificate check: the poset's own box ``g`` and variables,
+    pairwise-disjoint intervals, exact cover of the poset, and every top at
+    rho >= claimed_d.
 
     Shares no code with the search; any malformation returns False.
     """
+    if cert.g != poset.g or cert.ambient != poset.ambient:
+        return False
     n = len(poset.g)
     point_set = set(poset.points)
     seen = set()

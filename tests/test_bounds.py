@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from treedepth import (ParameterError, bound_caterpillar, bound_lobster,
@@ -164,6 +166,15 @@ def test_compare_budget_caps_not_raises():
     report = compare("caterpillar", (6, 5, 5), 2, compute_exact=True,
                      budget_s=0.0)
     assert report.status == "capped"
+    assert report.depth_capped and report.sdepth_capped
+
+
+def test_compare_budget_covers_forming_the_power():
+    # P(6,4,4) at t=6 has 376 740 products to form, seconds of work
+    start = time.monotonic()
+    report = compare("caterpillar", (6, 4, 4), 6, compute_exact=True,
+                     budget_s=0.05)
+    assert time.monotonic() - start < 1
     assert report.depth_capped and report.sdepth_capped
 
 

@@ -62,9 +62,10 @@ def test_minimal_rows_matches_all_pairs(rows):
 @settings(max_examples=200, deadline=None)
 def test_colon_rows_matches_naive_colon(rows):
     gens = naive_minimal(rows)
+    masks = [sum(1 << j for j, e in enumerate(r) if e) for r in gens]
     for i in range(len(gens[0])):
         lowered = [r[:i] + (r[i] - 1,) + r[i + 1:] if r[i] else r for r in gens]
-        assert depth_mod._colon_rows(gens, i) == naive_minimal(lowered)
+        assert depth_mod._colon_rows(gens, masks, i) == naive_minimal(lowered)
 
 
 @given(row_lists(nonzero=True, max_rows=6), st.sampled_from([2, 3]))
@@ -107,6 +108,23 @@ def test_proj_dim_matches_full_betti_table(rows, p):
     gens = naive_minimal(rows)
     expected = betti_numbers(ideal_of(gens), p).proj_dim()
     assert depth_mod._proj_dim_rows(gens, p) == expected
+
+
+@given(row_lists(nonzero=True, max_rows=6, max_vars=4),
+       st.lists(st.integers(0, 8), min_size=1, max_size=3),
+       st.sampled_from([2, 32003]))
+@settings(max_examples=150, deadline=None)
+def test_proj_dim_ignores_columns_zero_in_every_row(rows, spots, p):
+    # the walk shrinks minimal rows to their joint support instead of
+    # minimalizing them again; padding keeps them minimal and canonical
+    gens = naive_minimal(rows)
+    padded = gens
+    for spot in spots:
+        j = spot % (len(padded[0]) + 1)
+        padded = tuple(r[:j] + (0,) + r[j:] for r in padded)
+    assert padded == naive_minimal(padded)
+    expected = betti_numbers(ideal_of(gens), p).proj_dim()
+    assert depth_mod._proj_dim_rows(padded, p) == expected
 
 
 @given(row_lists(max_exp=1, nonzero=True, max_rows=10),

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -165,6 +166,11 @@ def test_power_two_of_p22(p22_ideal):
     products = brute_minimal([a.times(b) for a, b in
                               combinations_with_replacement(p22_ideal.gens, 2)])
     assert list(square.gens) == products
+
+
+def test_power_raises_past_deadline(p22_ideal):
+    with pytest.raises(ResourceCapError):
+        ideal_power(p22_ideal, 2, deadline=time.monotonic() - 1)
 
 
 def test_power_rejects_bad_exponent(p22_ideal):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -203,6 +204,19 @@ def test_verifier_rejects_points_outside_poset():
         poset.ambient, poset.g, 1,
         (((0, 0), (1, 1)),))
     assert not verify_certificate(poset, outside)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda cert: replace(cert, g=tuple(e + 1 for e in cert.g)),
+    lambda cert: replace(cert, ambient=VariableSet(
+        tuple(f"y{i}" for i in range(len(cert.g))))),
+], ids=["raised_g", "foreign_variables"])
+def test_verifier_rejects_a_certificate_of_another_box(p22_ideal, mutate):
+    # the intervals still partition the poset, but the JSON names another box
+    poset = char_poset(ideal_power(p22_ideal, 2))
+    cert = sdepth_at_least(poset, 1)
+    assert verify_certificate(poset, cert)
+    assert not verify_certificate(poset, mutate(cert))
 
 
 def test_certificate_json_round_trip():
