@@ -331,18 +331,10 @@ def ideal_power(ideal: MonomialIdeal, t: int,
         return ideal
     combos = combinations_with_replacement(ideal.rows, t)
     if deadline is not None:
-        combos = _until(deadline, combos)
+        combos = (c for k, c in enumerate(combos)
+                  if k % 1024 or check_deadline(deadline) is None)
     return MonomialIdeal(ideal.ambient,
                          (tuple(map(sum, zip(*combo))) for combo in combos))
-
-
-def _until(deadline: float, items, every: int = 1024):
-    """``items`` as they come, checking ``deadline`` before every
-    ``every``-th one."""
-    for k, item in enumerate(items):
-        if not k % every:
-            check_deadline(deadline)
-        yield item
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
