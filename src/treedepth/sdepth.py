@@ -7,6 +7,15 @@ tops satisfy rho(b) = #{i : b_i = g_i} >= d witnesses sdepth(S/I) >= d; the
 search below is an exhaustive exact-cover backtracking, so an "infeasible"
 answer is a proof of impossibility, and a certificate is returned otherwise.
 
+Infeasibility can also be proved on an up-set.  For a point u of the poset,
+U_u = {c in the poset : c >= u} is the poset of the colon (I : x^u) shifted
+by u, and an interval partition of the poset restricts to one of U_u with
+the same tops: [a, b] becomes [max(a, u), b] for every b >= u.  So when U_u
+has no partition at d, neither has the poset; this is the colon inequality
+sdepth(S/(I : x^u)) >= sdepth(S/I) (Rauf 2010; Cimpoeas 2012), read inside
+the poset already built.  :func:`sdepth_quotient` interleaves such up-set
+searches with the whole-poset search and keeps the refuting u.
+
 The search works on regions held as Python ints over box positions: the
 point a sits at bit sum(a_j * stride_j) of the box [0, g], so stepping one
 unit along coordinate j is a shift by stride_j.  Hasse covers, minimal
@@ -24,7 +33,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import eq, mul
 from types import MappingProxyType
@@ -38,6 +47,15 @@ from .monomials import MonomialIdeal, VariableSet, _env_cap
 DEFAULT_BOX_CAP = 2 ** 20
 
 _MISS = object()
+
+
+class _RoundOver(Exception):
+    """An up-set search used up its probe round's node budget."""
+
+
+class _Refuted(Exception):
+    """An up-set search proved the whole search infeasible; ``args[0]`` is
+    the point u at the bottom of the up-set."""
 
 
 def _strides(g: tuple) -> list[int]:
@@ -284,12 +302,20 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
 
 @dataclass(frozen=True)
 class StanleyCertificate:
-    """An interval partition witnessing sdepth >= claimed_d."""
+    """An interval partition witnessing sdepth >= claimed_d.
+
+    ``refuted_by``, set by :func:`sdepth_quotient` below the number of
+    variables, is the point u whose up-set admits no partition at
+    claimed_d + 1 (the origin: the whole poset), so sdepth(S/(I : x^u)) <=
+    claimed_d.  It is not in the JSON and not read by
+    :func:`verify_certificate`.
+    """
 
     ambient: VariableSet
     g: tuple
     claimed_d: int
     intervals: tuple  # of (a, b) exponent tuples
+    refuted_by: tuple | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
         sparse = self.ambient.sparse
@@ -312,12 +338,17 @@ class StanleyCertificate:
 
 def sdepth_at_least(poset: CharPoset, d: int,
                     max_nodes: int | None = None,
-                    budget_s: float | None = None) -> StanleyCertificate | None:
+                    budget_s: float | None = None,
+                    *, _refuted: list | None = None) -> StanleyCertificate | None:
     """Exact feasibility of an interval partition with tops of rho >= d.
 
     Returns a verified-shape certificate, or None for a proof of
     impossibility.  Raises ResourceCapError if the node or time cap fires
     before the search concludes.
+
+    ``_refuted``, private to :func:`sdepth_quotient`: given a list, the
+    search also runs up-set probes under the same node cap, time budget
+    and memo, and appends the point u of a probe that refutes d.
     """
     n = len(poset.ambient)
     if not 0 <= d <= n:
@@ -340,6 +371,12 @@ def sdepth_at_least(poset: CharPoset, d: int,
 
     deadline = deadline_after(budget_s)
     nodes = 0
+    # probe schedule: in the main search, ``mark`` is the node count that
+    # starts the next probe round; inside a round, the count that ends it
+    mark = 2 if _refuted is not None else None
+    pending: list | None = None  # probes not yet settled, built lazily
+    in_round = False
+    full = poset.mask(range(len(pts)))
     tops_cache: dict[int, list[int]] = {}
     memo: dict[bytes, tuple | None] = {}
 
@@ -392,6 +429,10 @@ def sdepth_at_least(poset: CharPoset, d: int,
         cached = memo.get(key, _MISS)
         if cached is not _MISS:
             return cached
+        if mark is not None and nodes >= mark:
+            if in_round:
+                raise _RoundOver
+            probe_round()
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise ResourceCapError("interval partition search exceeded node cap")
@@ -429,13 +470,47 @@ def sdepth_at_least(poset: CharPoset, d: int,
         memo[key] = None
         return None
 
+    def probe_round():
+        """Search up-sets U_u, smallest first, until one is refuted or the
+        nodes used in the round match the nodes used before it.  A feasible
+        U_u is dropped; one cut off by the budget waits for the next round,
+        which starts when the node count has doubled again."""
+        nonlocal mark, pending, in_round
+        if pending is None:
+            # points of degree 1 and 2 follow the origin in (degree, lex)
+            # order; U_u holds the points c >= u
+            ups = []
+            for i in range(1, len(pts)):
+                if sum(pts[i]) > 2:
+                    break
+                up = full & poset.cube(pts[i], poset.g)
+                ups.append((up.bit_count(), i, up))
+            pending = sorted(ups)
+        in_round, mark = True, 2 * nodes
+        while pending:
+            _, i, up = pending[0]
+            try:
+                found = solve(up)
+            except _RoundOver:
+                break
+            if found is None:
+                raise _Refuted(pts[i])
+            pending.pop(0)
+        in_round = False
+        mark = 2 * nodes if pending else None
+
     intervals: list[tuple] = []
-    with recursion_limit(len(pts) + 10000):
-        for comp in poset.components(poset.mask(range(len(pts)))):
-            sub = solve(comp)
-            if sub is None:
-                return None
-            intervals.extend(sub)
+    # a probe round runs on top of the main search's stack
+    with recursion_limit(2 * len(pts) + 10000):
+        try:
+            for comp in poset.components(full):
+                sub = solve(comp)
+                if sub is None:
+                    return None
+                intervals.extend(sub)
+        except _Refuted as refuted:
+            _refuted.append(refuted.args[0])
+            return None
     return StanleyCertificate(poset.ambient, poset.g, d, tuple(intervals))
 
 
@@ -445,28 +520,44 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
                     cap: int | None = None) -> tuple[int, StanleyCertificate]:
     """Largest d admitting an interval partition, with its certificate.
 
-    ``start`` seeds the ascending search (a known lower bound makes the
-    expensive infeasibility step run only once, at d = answer + 1).
+    ``start`` seeds the search: from there it ascends while partitions
+    exist, or descends to the first d that has one (a known lower bound
+    makes the expensive infeasibility step run only once, at
+    d = answer + 1).  The step at ``start`` is the plain search; every later
+    step interleaves up-set probes with it, and is infeasible when either
+    exhausts its region.  The certificate's ``refuted_by`` names the up-set
+    that refuted d = answer + 1.  ``max_nodes`` caps each step, probes
+    included; ``budget_s`` covers the whole call.
     """
     poset = char_poset(ideal, cap=cap)
     n = len(poset.ambient)
     deadline = deadline_after(budget_s)
+
+    def step(e, probes=True):
+        """The certificate at e and None, or None and the refuting point."""
+        refuted = [] if probes else None
+        found = sdepth_at_least(poset, e, max_nodes=max_nodes,
+                                budget_s=seconds_left(deadline),
+                                _refuted=refuted)
+        if found is not None:
+            return found, None
+        return None, refuted[0] if refuted else (0,) * n
+
     d = min(max(start or 0, 0), n)
-    best = sdepth_at_least(poset, d, max_nodes=max_nodes,
-                           budget_s=seconds_left(deadline))
-    while best is None and d > 0:
-        d -= 1
-        best = sdepth_at_least(poset, d, max_nodes=max_nodes,
-                               budget_s=seconds_left(deadline))
+    best, witness = step(d, probes=False)
     if best is None:
-        raise AssertionError("d = 0 must be feasible for a proper ideal")
+        # descend to the first feasible d (d = 0 always is); the step above
+        # it has just been refuted, so there is nothing left to ascend
+        while best is None:
+            above = witness
+            d -= 1
+            best, witness = step(d)
+        return d, replace(best, refuted_by=above)
     while d < n:
-        nxt = sdepth_at_least(poset, d + 1, max_nodes=max_nodes,
-                              budget_s=seconds_left(deadline))
+        nxt, witness = step(d + 1)
         if nxt is None:
-            break
-        d += 1
-        best = nxt
+            return d, replace(best, refuted_by=witness)
+        d, best = d + 1, nxt
     return d, best
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from treedepth import (Monomial, VariableSet, build_caterpillar, build_lobster,
-                       edge_ideal, ideal_power, minimalize)
+from treedepth import (Monomial, ResourceCapError, VariableSet,
+                       build_caterpillar, build_lobster, char_poset, colon,
+                       edge_ideal, ideal_power, minimalize, sdepth_at_least)
 
 
 def mk_ideal(varnames, *gen_dicts):
@@ -22,6 +23,37 @@ def family_ideal(family, params, t=1):
         graph = build_lobster(*params)
     ideal = edge_ideal(graph)
     return ideal_power(ideal, t) if t > 1 else ideal
+
+
+def plain_sdepth(ideal, start, max_nodes):
+    """The search without up-set probes: descend from ``start`` to the first
+    feasible d, then ascend while partitions exist.  None when a step caps."""
+    poset = char_poset(ideal)
+    d = start
+    try:
+        while d > 0 and sdepth_at_least(poset, d, max_nodes=max_nodes) is None:
+            d -= 1
+        while (d < len(poset.g)
+               and sdepth_at_least(poset, d + 1, max_nodes=max_nodes) is not None):
+            d += 1
+    except ResourceCapError:
+        return None
+    return d
+
+
+def recheck_refutation(ideal, value, cert):
+    """Rerun the refutation of d = value + 1 that ``sdepth_quotient`` kept
+    with its certificate along another path: the colon (I : x^u), its own
+    poset in its own box, and the plain search at d.  Returns the colon's
+    poset, or None when value is the number of variables."""
+    if value == ideal.num_vars():
+        assert cert.refuted_by is None
+        return None
+    u = Monomial(ideal.ambient, cert.refuted_by)
+    assert not ideal.contains(u)
+    poset = char_poset(colon(ideal, u))
+    assert sdepth_at_least(poset, value + 1) is None
+    return poset
 
 
 def caterpillar_grid(n_max=4, k_max=3):

@@ -22,11 +22,11 @@ from treedepth import (CharPoset, Graph, MonomialIdeal,
                        betti_numbers, char_poset, depth_oracle_hochster,
                        depth_quotient, depth_via_betti, graph_stats,
                        ideal_power, lcm_lattice, sdepth_at_least,
-                       verify_certificate)
+                       sdepth_quotient, verify_certificate)
 from treedepth import depth as depth_mod
 from treedepth import sdepth as sdepth_mod
 from treedepth.monomials import minimal_rows
-from conftest import family_ideal
+from conftest import family_ideal, plain_sdepth, recheck_refutation
 from test_depth import RP2_TRIANGLES, rp2_ideal
 
 
@@ -488,6 +488,59 @@ def test_sdepth_search_matches_exhaustive_partitions(rows):
         assert (cert is not None) == partition_exists(poset.points, poset.g, d)
         if cert is not None:
             assert verify_certificate(poset, cert)
+
+
+def check_sdepth_quotient(ideal, start) -> int:
+    """sdepth_quotient against the plain ascending search and the verifier,
+    and its refutation of value + 1 against the colon by the witness u,
+    searched in the colon's own box and, where that poset is small, by the
+    exhaustive oracle.  Returns the value.  A few squares of edge ideals
+    on 5 or 6 vertices hold a search of many thousand nodes, as P233^2
+    does; an example where either search caps at 2000 nodes is skipped."""
+    poset = char_poset(ideal)
+    try:
+        value, cert = sdepth_quotient(ideal, start=min(start, len(poset.g)),
+                                      max_nodes=2000)
+    except ResourceCapError:
+        assume(False)
+    plain = plain_sdepth(ideal, 0, 2000)
+    assume(plain is not None)
+    assert value == plain == cert.claimed_d
+    assert verify_certificate(poset, cert)
+    colon_poset = recheck_refutation(ideal, value, cert)
+    if colon_poset is not None and len(colon_poset) <= 16:
+        assert not partition_exists(colon_poset.points, colon_poset.g, value + 1)
+    return value
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=5), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_sdepth_quotient_matches_exhaustive_partitions(rows, start):
+    poset = char_poset(ideal_of(rows))
+    assume(len(poset) <= 16)
+    assert check_sdepth_quotient(ideal_of(rows), start) == max(
+        d for d in range(len(poset.g) + 1)
+        if partition_exists(poset.points, poset.g, d))
+
+
+@st.composite
+def edge_ideal_squares(draw):
+    """Rows of I(G)^2 for a graph G on at most 6 vertices.  Up-set probes
+    fire only where the whole-poset search does not settle at its root,
+    which squares of edge ideals reach at a few dozen points already; on
+    posets of at most 16 points they never do."""
+    n = draw(st.integers(3, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=7))
+    rows = [tuple(int(j in e) for j in range(n)) for e in edges]
+    return ideal_power(ideal_of(rows), 2).rows
+
+
+@given(edge_ideal_squares(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_sdepth_quotient_matches_plain_search_on_squares(rows, start):
+    check_sdepth_quotient(ideal_of(rows), start)
 
 
 def all_pairs_diameter(graph) -> int:

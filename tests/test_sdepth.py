@@ -5,10 +5,13 @@ import pytest
 
 from treedepth import (Monomial, MonomialIdeal, ParameterError,
                        ResourceCapError, StanleyCertificate, VariableSet,
-                       char_poset, depth_quotient, disjoint_sum,
-                       extend_ambient, ideal_power, minimalize,
-                       sdepth_at_least, sdepth_quotient, verify_certificate)
-from conftest import family_ideal, mk_ideal
+                       bound_caterpillar, bound_lobster, char_poset,
+                       depth_quotient, disjoint_sum, extend_ambient,
+                       ideal_power, minimalize, sdepth_at_least,
+                       sdepth_quotient, verify_certificate)
+from treedepth import sdepth as sdepth_mod
+from conftest import (caterpillar_grid, family_ideal, lobster_grid, mk_ideal,
+                      plain_sdepth, recheck_refutation)
 
 
 def principal_xy():
@@ -112,8 +115,29 @@ def test_sdepth_of_principal_edge_without_hint():
 
 
 def test_bad_start_hint_descends():
-    value, _ = sdepth_quotient(principal_xy(), start=2)
+    value, cert = sdepth_quotient(principal_xy(), start=2)
     assert value == 1
+    assert cert.refuted_by == (0, 0)  # the whole poset refuted d = 2
+
+
+@pytest.mark.parametrize("ideal,start,searched", [
+    (principal_xy(), 2, [2, 1]),
+    (principal_xy(), 0, [0, 1, 2]),
+    (family_ideal("lobster", (3, 2, 2)), 5, [5, 4, 3]),
+])
+def test_each_d_is_searched_once(monkeypatch, ideal, start, searched):
+    # after a descent, d + 1 has just been refuted: no second search of it
+    calls = []
+    plain = sdepth_mod.sdepth_at_least
+
+    def recording(poset, d, *args, **kwargs):
+        calls.append(d)
+        return plain(poset, d, *args, **kwargs)
+
+    monkeypatch.setattr(sdepth_mod, "sdepth_at_least", recording)
+    value, cert = sdepth_quotient(ideal, start=start)
+    assert calls == searched
+    assert cert.claimed_d == value
 
 
 def test_search_node_counts_on_square_of_p22(p22_ideal):
@@ -138,6 +162,74 @@ def test_search_node_counts_on_square_of_p232():
         sdepth_at_least(poset, 2, max_nodes=11)
     cert = sdepth_at_least(poset, 2, max_nodes=12)
     assert cert is not None and verify_certificate(poset, cert)
+
+
+def test_up_set_probe_nodes_count_against_the_cap():
+    # on P233^2 the whole-poset search at d = 3 caps at 1000 nodes; the
+    # probes refute it in 10 nodes, counted on the same node cap
+    poset = char_poset(family_ideal("caterpillar", (2, 3, 3), 2))
+    with pytest.raises(ResourceCapError):
+        sdepth_at_least(poset, 3, max_nodes=1000)
+    with pytest.raises(ResourceCapError):
+        sdepth_at_least(poset, 3, max_nodes=9, _refuted=[])
+    refuted = []
+    assert sdepth_at_least(poset, 3, max_nodes=10, _refuted=refuted) is None
+    assert refuted == [(1, 1, 0, 0, 0, 0)]
+
+
+def grid_cells():
+    """The verify grid at t = 1, plus t = 2 for n <= 3 and r <= 3, each with
+    its closed-form bound as the start: 50 cells."""
+    cells = []
+    for family, grid, bound in (("caterpillar", caterpillar_grid(), bound_caterpillar),
+                                ("lobster", lobster_grid(), bound_lobster)):
+        for params in grid:
+            for t in ((1, 2) if params[0] <= 3 else (1,)):
+                cells.append((family, params, t, bound(*params, t)))
+    return cells
+
+
+@pytest.mark.parametrize("family,params,expected", [
+    ("caterpillar", (2, 3, 3), 2), ("caterpillar", (3, 2, 2), 2),
+    ("lobster", (3, 1, 0), 2), ("caterpillar", (3, 3, 1), 2),
+    ("caterpillar", (3, 3, 2), 3),
+])
+def test_squares_the_whole_poset_search_caps_on(family, params, expected):
+    # the whole-poset search at d = expected + 1 caps at 1000 nodes here;
+    # an up-set of a degree-2 point refutes it well inside the cap
+    ideal = family_ideal(family, params, 2)
+    bound = bound_caterpillar if family == "caterpillar" else bound_lobster
+    value, cert = sdepth_quotient(ideal, start=bound(*params, 2), max_nodes=1000)
+    assert value == expected == cert.claimed_d
+    assert verify_certificate(char_poset(ideal), cert)
+    assert sum(cert.refuted_by) == 2
+    recheck_refutation(ideal, value, cert)
+
+
+def test_square_of_s410_under_a_short_budget():
+    ideal = family_ideal("lobster", (4, 1, 0), 2)
+    value, cert = sdepth_quotient(ideal, start=bound_lobster(4, 1, 0, 2),
+                                  budget_s=5)
+    assert value == 3
+    assert verify_certificate(char_poset(ideal), cert)
+    recheck_refutation(ideal, value, cert)
+
+
+@pytest.mark.parametrize("max_nodes", [250, 1000])
+def test_grid_cells_keep_the_plain_search_values(max_nodes):
+    cells = grid_cells()
+    assert len(cells) == 50
+    for family, params, t, start in cells:
+        ideal = family_ideal(family, params, t)
+        expected = plain_sdepth(ideal, start, max_nodes)
+        try:
+            value, cert = sdepth_quotient(ideal, start=start, max_nodes=max_nodes)
+        except ResourceCapError:
+            assert expected is None, (family, params, t)
+            continue
+        assert expected in (None, value), (family, params, t)
+        assert verify_certificate(char_poset(ideal), cert)
+        recheck_refutation(ideal, value, cert)
 
 
 def test_monotonicity_below_the_answer():
