@@ -12,6 +12,26 @@ Two independent routes are implemented:
   which walks every vertex subset of the Stanley-Reisner complex and reads
   Betti numbers from reduced homology of the restrictions.
 
+Inside the engine each generator is one int.  Field j, of 8k bits, holds
+the exponent of variable j; the field's top bit is a guard bit, 0 in every
+stored row, and k is the fewest bytes that leave the ideal's largest
+exponent below it, chosen once per :func:`depth_quotient` call.  With H the
+guard bits of all fields and A the bits below them:
+
+* the support mask of a row r is (r + A) & H, the guards of its nonzero
+  fields;
+* l divides u iff ((u | H) - l) & H == H, i.e. no field of u borrows;
+* the colon (I : x_i) subtracts 1 << 8ki from each row nonzero at i;
+* the sum (I, x_i) keeps the rows that are zero at i and cuts field i out,
+  and a component split gathers the bytes of the component's fields.
+
+A node's rows are minimal and sorted as ints; with the number of variables
+and k they are its memo key.  Int order reads the rows from the last
+variable back, so the unit row 0 sorts first, and cutting out fields that
+are zero on every row kept keeps the order: of the splits only the colon
+sorts, by merging two sorted runs.  Only the Betti fallback unpacks rows,
+to exponent tuples in canonical ``(degree, row)`` order.
+
 Multigraded Betti numbers (:func:`betti_numbers`) are computed from the lcm
 lattice: for each lattice element m, beta_{i,m}(S/I) is the rank of reduced
 homology H~_{i-2} of the complex K_m of generator subsets below m whose lcm
@@ -37,19 +57,23 @@ the side with fewer vertices is the one built.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import (ParameterError, check_deadline, deadline_after,
                      recursion_limit)
-from .monomials import (Monomial, MonomialIdeal, VariableSet, _divided,
-                        _support_mask, lcm_lattice, polarize)
+from .monomials import (Monomial, MonomialIdeal, VariableSet, lcm_lattice,
+                        polarize)
 
 _INFINITE_DEPTH = 10 ** 9  # stands in for depth of the zero module S/S
 
 
+@lru_cache(maxsize=16)  # checked per call; a depth memo hit costs about as much
 def _check_prime(p: int) -> int:
     if p < 2:
         raise ParameterError(f"field characteristic must be a prime, got {p}")
@@ -379,7 +403,7 @@ def _boundary_rank(faces, lower, p: int, deadline=None) -> int:
 
 # The depth memo lives for the whole process; past this many entries the
 # oldest (first inserted) ones are dropped.  The benchmark's depth-powers
-# pass, the largest user, leaves 2657 entries (about 3.5 MB pickled).
+# pass, the largest user, leaves 2487 entries (about 1.6 MB pickled).
 _SES_MEMO_CAP = 20_000
 _ses_memo: dict = {}
 
@@ -391,11 +415,51 @@ def _remember(key, d: int) -> int:
     return d
 
 
+class _Fields:
+    """The packed layout of exponent rows (see the module docstring): field
+    j, ``k`` bytes wide, holds the exponent of variable j below its guard
+    bit, the field's top bit.  ``k`` is the fewest bytes that leave the
+    largest exponent ``top`` below the guard bit.  One layout, built for
+    the ideal's ``nvars``, serves every node of its recursion: the fields
+    past a node's variables are 0 in all its rows, and the mask and
+    divisibility tests hold on zero fields."""
+
+    __slots__ = ("k", "width", "guard", "below")
+
+    def __init__(self, nvars: int, top: int):
+        self.k = k = top.bit_length() // 8 + 1
+        self.width = w = 8 * k
+        # H: every guard bit; A: every bit below a guard bit
+        self.guard = int.from_bytes((1 << w - 1).to_bytes(k, "little") * nvars,
+                                    "little")
+        self.below = self.guard - (self.guard >> w - 1)
+
+    def pack(self, rows) -> list:
+        """The exponent tuples ``rows`` packed, in the order given."""
+        k = self.k
+        data = (rows if k == 1 else  # from_bytes reads a tuple of byte values
+                (b"".join([e.to_bytes(k, "little") for e in r]) for r in rows))
+        return list(map(int.from_bytes, data, repeat("little")))
+
+    def unpack(self, r: int, nvars: int) -> tuple:
+        k = self.k
+        data = r.to_bytes(nvars * k, "little")
+        return tuple(int.from_bytes(data[j:j + k], "little")
+                     for j in range(0, nvars * k, k))
+
+    def supports(self, rows) -> list:
+        """The rows' support masks: the guard bits of their nonzero fields."""
+        below, guard = self.below, self.guard
+        return [(r + below) & guard for r in rows]
+
+
 def _components(masks):
     """Support masks of the connected components of the generators: rows
     whose supports overlap, directly or through other rows, share one."""
     comps: list[int] = []
     for m in dict.fromkeys(masks):
+        if comps and not m & ~comps[-1]:
+            continue  # inside the last component grown, which no other meets
         touching = [c for c in comps if c & m]
         for c in touching:
             comps.remove(c)
@@ -404,80 +468,108 @@ def _components(masks):
     return comps
 
 
-def _colon_rows(rows, masks, i):
-    """Minimal generators of (I : x_i), canonically sorted, from the minimal
-    generators ``rows`` of I and their support masks ``masks``.
+def _colon_rows(rows, i, fields):
+    """Minimal generators of (I : x_i), sorted, from the minimal packed
+    generators ``rows`` of I.
 
     Lowering a row at i keeps the lowered rows an antichain, and no
     untouched row (exponent 0 at i) divides a lowered one.  A lowered row
     divides an untouched row only if it is 0 at i, i.e. its exponent there
-    was 1, so only those are tested against the untouched rows, with
-    masks read off ``masks``: lowering a 1 at i clears bit i.
+    was 1, so only those are tested against the untouched rows.  Lowering
+    subtracts one from field i of every lowered row, which keeps their
+    order, so the result merges two sorted runs.
     """
-    lowered, untouched, was_one = [], [], []
-    for r, m in zip(rows, masks):
-        e = r[i]
-        if e:
-            low = r[:i] + (e - 1,) + r[i + 1:]
-            lowered.append(low)
-            if e == 1:
-                was_one.append((m ^ 1 << i, low))
-        else:
-            untouched.append((m, r))
-    lowered.extend(u for m, u in untouched
-                   if not (was_one and _divided(u, m, was_one)))
-    return tuple(sorted(lowered, key=lambda r: (sum(r), r)))
+    w, guard = fields.width, fields.guard
+    one = 1 << i * w
+    field = ((1 << w) - 1) << i * w
+    lowered = [r - one for r in rows if r & field]
+    # low divides u iff no field of (u | guard) - low borrows from its
+    # guard bit; that needs u > low, and both lists are sorted
+    kept = [r | guard for r in rows if not r & field]
+    for low in (r for r in lowered if not r & field):
+        j = bisect(kept, low | guard)
+        kept[j:] = [u for u in kept[j:] if (u - low) & guard != guard]
+    return tuple(sorted(lowered + [u ^ guard for u in kept]))
 
 
-def _depth_rec(rows, nvars, p, deadline) -> int:
-    """depth(S/I) for the minimal generators ``rows`` of I in canonical
-    ``(degree, row)`` order, so that equal ideals share one memo key.
+def _sum_rows(rows, i, fields):
+    """Minimal generators of (I, x_i) over the other variables: the rows
+    that are 0 at i, with field i cut out.  Cutting out a zero field keeps
+    the order of the rows."""
+    w = fields.width
+    low = (1 << i * w) - 1
+    field = ((1 << w) - 1) << i * w
+    return tuple(r & low | r >> w & ~low for r in rows if not r & field)
+
+
+def _component_rows(rows, masks, comp, nvars, fields):
+    """The rows inside the component with support mask ``comp``, with every
+    field outside it cut out, and the number of its variables.
+
+    The bytes of the component's fields are gathered from each row; the
+    byte past the top field is always 0 and is gathered too, so the pick
+    is a tuple even for a one-byte component.  Cutting out fields that are
+    0 in every row kept keeps the rows' order.
+    """
+    k, w = fields.k, fields.width
+    cols = [j for j in range(nvars) if comp >> j * w + w - 1 & 1]
+    size = nvars * k + 1
+    pick = itemgetter(*[j * k + b for j in cols for b in range(k)], size - 1)
+    inside = [r for r, m in zip(rows, masks) if m & comp]
+    data = map(bytes, map(pick, map(int.to_bytes, inside, repeat(size),
+                                    repeat("little"))))
+    sub = tuple(map(int.from_bytes, data, repeat("little")))
+    return sub, len(cols)
+
+
+def _depth_rec(rows, nvars, fields, p, deadline) -> int:
+    """depth(S/I) for the minimal generators ``rows`` of I, packed by
+    ``fields`` and sorted, so that equal ideals share one memo key.
 
     No split re-minimalizes: the component split and the sum (I, x_i) each
-    keep a subset of the rows and drop columns that are zero on it, which
-    leaves a minimal set in canonical order; the colon (I : x_i) goes
-    through :func:`_colon_rows`.  A free variable is a component with no
-    rows, and adds 1 to the depth.
+    keep a subset of the rows and drop fields that are zero on it, which
+    leaves a minimal set in order; the colon (I : x_i) goes through
+    :func:`_colon_rows`.  A free variable is a component with no rows, and
+    adds 1 to the depth.
     """
     if not rows:
         return nvars
-    if not any(rows[0]):  # canonical order puts a unit generator first
+    if not rows[0]:  # the unit row 0 sorts first
         return _INFINITE_DEPTH
-    key = (rows, nvars, p)
+    key = (rows, nvars, fields.k, p)
     hit = _ses_memo.get(key)
     if hit is not None:
         return hit
     check_deadline(deadline)
 
-    masks = [_support_mask(r) for r in rows]
+    masks = fields.supports(rows)
     comps = _components(masks)
-    nfree = nvars - sum(bin(c).count("1") for c in comps)
+    nfree = nvars - sum(c.bit_count() for c in comps)
     if nfree or len(comps) > 1:
         total = nfree
         for comp in comps:
-            cols = [i for i in range(nvars) if comp >> i & 1]
-            sub = tuple(tuple(r[i] for i in cols)
-                        for r, m in zip(rows, masks) if m & comp)
-            total += _depth_rec(sub, len(cols), p, deadline)
+            sub, n = _component_rows(rows, masks, comp, nvars, fields)
+            total += _depth_rec(sub, n, fields, p, deadline)
         return _remember(key, total)
 
     if len(rows) == 1:
         return _remember(key, nvars - 1)
 
-    # split on variables, most-used first
-    freq = [0] * nvars
-    for r in rows:
-        for i, e in enumerate(r):
-            if e:
-                freq[i] += 1
+    # split on variables, most-used first: a mask's bytes are 0 but for
+    # 0x80 in the top byte of each used field, so the top bytes of field i
+    # across all masks, one slice, count the rows that use variable i
+    k = fields.k
+    step = nvars * k
+    data = b"".join(map(int.to_bytes, masks, repeat(step), repeat("little")))
+    freq = [data[j::step].count(0x80) for j in range(k - 1, step, k)]
     order = sorted(range(nvars), key=lambda i: (-freq[i], i))
 
     candidates = []
     for i in order:
-        colon_rows = _colon_rows(rows, masks, i)
-        sum_rows = tuple(r[:i] + r[i + 1:] for r in rows if r[i] == 0)
-        d_colon = _depth_rec(colon_rows, nvars, p, deadline)
-        d_sum = _depth_rec(sum_rows, nvars - 1, p, deadline)
+        colon_rows = _colon_rows(rows, i, fields)
+        sum_rows = _sum_rows(rows, i, fields)
+        d_colon = _depth_rec(colon_rows, nvars, fields, p, deadline)
+        d_sum = _depth_rec(sum_rows, nvars - 1, fields, p, deadline)
         if d_colon <= d_sum:
             # depth lemma forces equality with the colon depth
             return _remember(key, d_colon)
@@ -494,7 +586,9 @@ def _depth_rec(rows, nvars, p, deadline) -> int:
         raise AssertionError("inconsistent depth constraints; this is a bug")
 
     # every split left the same two possibilities: resolve by resolution
-    return _remember(key, nvars - _proj_dim_rows(rows, p, deadline=deadline))
+    canonical = sorted((fields.unpack(r, nvars) for r in rows),
+                       key=lambda r: (sum(r), r))
+    return _remember(key, nvars - _proj_dim_rows(canonical, p, deadline=deadline))
 
 
 def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
@@ -502,11 +596,11 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
     """Exact depth(S/I) for a monomial ideal I.
 
     The zero ideal has depth equal to the ambient size.  The ideal's rows
-    are minimal already, so they go to the engine as they are.  Free
-    variables and support-disjoint components are split off first; the
-    remaining cores are resolved by exact-sequence splitting with a Betti
-    fallback (see module docstring).  ``budget_s`` bounds the whole
-    computation, the Betti fallback included.
+    are minimal already, so they go to the engine packed and sorted but
+    otherwise as they are.  Free variables and support-disjoint components
+    are split off first; the remaining cores are resolved by exact-sequence
+    splitting with a Betti fallback (see module docstring).  ``budget_s``
+    bounds the whole computation, the Betti fallback included.
     """
     _check_prime(field_char)
     n = ideal.num_vars()
@@ -516,8 +610,15 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
         raise ParameterError("improper ideal (contains a unit)")
     deadline = deadline_after(budget_s)
     rows = ideal.rows
-    with recursion_limit(20 * sum(sum(r) for r in rows) + 10000):
-        d = _depth_rec(rows, n, field_char, deadline)
+    # the last row has the largest degree, which bounds every exponent;
+    # past what a one-byte field holds, the largest exponent is read
+    top = sum(rows[-1])
+    fields = _Fields(n, top if top < 128 else max(map(max, rows)))
+    packed = tuple(sorted(fields.pack(rows)))
+    d = _ses_memo.get((packed, n, fields.k, field_char))
+    if d is None:  # a memo hit needs neither the degree sum nor the room
+        with recursion_limit(20 * sum(map(sum, rows)) + 10000):
+            d = _depth_rec(packed, n, fields, field_char, deadline)
     return DepthResult(d, n - d, n, field_char, "ses_splitting")
 
 

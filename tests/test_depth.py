@@ -167,6 +167,27 @@ def test_depth_budget_holds_inside_betti_fallback(monkeypatch):
     assert "_proj_dim_rows" in {entry.name for entry in err.traceback}
 
 
+@pytest.mark.parametrize("ideal,depth", [
+    (rp2_ideal(), 3), (family_ideal("caterpillar", (3, 3, 3), 3), 1)])
+def test_betti_fallback_gets_minimal_canonical_rows(monkeypatch, ideal, depth):
+    # the engine recurses on packed rows; the fallback takes exponent tuples
+    sizes = []
+    real_proj_dim = depth_mod._proj_dim_rows
+
+    def checked(rows, p, cap=None, deadline=None):
+        assert all(type(r) is tuple for r in rows)
+        assert rows == sorted(set(rows), key=lambda r: (sum(r), r))
+        assert not any(s != r and all(a <= b for a, b in zip(s, r))
+                       for r in rows for s in rows)
+        sizes.append(len(rows))
+        return real_proj_dim(rows, p, cap, deadline)
+
+    monkeypatch.setattr(depth_mod, "_ses_memo", {})
+    monkeypatch.setattr(depth_mod, "_proj_dim_rows", checked)
+    assert depth_quotient(ideal).depth == depth
+    assert sizes
+
+
 def test_betti_and_lattice_raise_past_deadline(p22_ideal):
     past = time.monotonic() - 1
     with pytest.raises(ResourceCapError):

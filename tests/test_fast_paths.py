@@ -44,9 +44,9 @@ def ideal_of(rows) -> MonomialIdeal:
 
 
 @st.composite
-def row_lists(draw, max_exp=3, max_rows=8, nonzero=False, max_vars=6):
+def row_lists(draw, max_exp=3, max_rows=8, nonzero=False, max_vars=6, exps=None):
     n = draw(st.integers(1, max_vars))
-    row = st.tuples(*[st.integers(0, max_exp)] * n)
+    row = st.tuples(*[st.integers(0, max_exp) if exps is None else exps] * n)
     if nonzero:
         row = row.filter(any)
     return draw(st.lists(row, min_size=1, max_size=max_rows))
@@ -58,14 +58,108 @@ def test_minimal_rows_matches_all_pairs(rows):
     assert minimal_rows(rows) == naive_minimal(rows)
 
 
-@given(row_lists(nonzero=True, max_rows=12))
+# Exponent bounds on either side of the one- and two-byte packed fields.
+FIELD_TOPS = st.sampled_from([3, 127, 128, 255, 256, 40000])
+
+
+def near(top):
+    """Exponents small enough to divide one another, and ``top`` or next
+    to it, so that rows fill their fields."""
+    return st.integers(0, 3) | st.sampled_from([top - 1, top])
+
+
+def packed(rows):
+    """The depth engine's layout for ``rows`` and the rows packed in it,
+    sorted, with their support masks."""
+    fields = depth_mod._Fields(len(rows[0]), max(map(max, rows)))
+    ints = tuple(sorted(fields.pack(rows)))
+    return fields, ints, fields.supports(ints)
+
+
+@given(st.data(), FIELD_TOPS)
 @settings(max_examples=200, deadline=None)
-def test_colon_rows_matches_naive_colon(rows):
-    gens = naive_minimal(rows)
-    masks = [sum(1 << j for j, e in enumerate(r) if e) for r in gens]
-    for i in range(len(gens[0])):
+def test_colon_rows_matches_naive_colon(data, top):
+    gens = naive_minimal(data.draw(row_lists(exps=near(top), nonzero=True, max_rows=12)))
+    n = len(gens[0])
+    fields, rows, masks = packed(gens)
+    for i in range(n):
         lowered = [r[:i] + (r[i] - 1,) + r[i + 1:] if r[i] else r for r in gens]
-        assert depth_mod._colon_rows(gens, masks, i) == naive_minimal(lowered)
+        expected = tuple(sorted(fields.pack(naive_minimal(lowered))))
+        assert depth_mod._colon_rows(rows, i, fields) == expected
+
+
+@given(st.data(), FIELD_TOPS)
+@settings(max_examples=200, deadline=None)
+def test_sum_rows_match_tuple_sum(data, top):
+    gens = naive_minimal(data.draw(row_lists(exps=near(top), nonzero=True, max_rows=10)))
+    fields, rows, masks = packed(gens)
+    for i in range(len(gens[0])):
+        dropped = [r[:i] + r[i + 1:] for r in gens if not r[i]]
+        assert depth_mod._sum_rows(rows, i, fields) == tuple(sorted(fields.pack(dropped)))
+
+
+def naive_components(rows) -> list[list[int]]:
+    """Variable sets of the connected components of the rows' supports,
+    joined one shared variable at a time."""
+    comps: list[set] = []
+    for r in rows:
+        merged = {j for j, e in enumerate(r) if e}
+        for c in [c for c in comps if c & merged]:
+            comps.remove(c)
+            merged |= c
+        comps.append(merged)
+    return sorted(sorted(c) for c in comps)
+
+
+@given(st.data(), FIELD_TOPS)
+@settings(max_examples=200, deadline=None)
+def test_component_rows_match_tuple_gather(data, top):
+    gens = naive_minimal(data.draw(row_lists(exps=near(top), nonzero=True, max_rows=8,
+                                             max_vars=9)))
+    n = len(gens[0])
+    fields, rows, masks = packed(gens)
+    got = {}
+    for comp in depth_mod._components(masks):
+        sub, width = depth_mod._component_rows(rows, masks, comp, n, fields)
+        cols = tuple(j for j in range(n) if comp >> j * fields.width + fields.width - 1 & 1)
+        got[cols] = (sub, width)
+    expected = {}
+    for cols in naive_components(gens):
+        inside = [tuple(r[j] for j in cols) for r in gens if any(r[j] for j in cols)]
+        expected[tuple(cols)] = (tuple(sorted(fields.pack(inside))), len(cols))
+    assert got == expected
+
+
+@given(st.lists(st.integers(0, 70000), min_size=1, max_size=9), FIELD_TOPS)
+@settings(max_examples=300, deadline=None)
+def test_pack_unpack_round_trip(row, top):
+    row = tuple(row)
+    top = max(top, *row)
+    fields = depth_mod._Fields(len(row), top)
+    # the fewest bytes that keep the largest exponent below the guard bit
+    assert top < 1 << fields.width - 1
+    assert fields.k == 1 or top >= 1 << fields.width - 9
+    r = fields.pack([row])[0]
+    assert not r & fields.guard
+    assert fields.unpack(r, len(row)) == row
+    assert fields.supports([r])[0] == sum(1 << (j + 1) * fields.width - 1
+                                          for j, e in enumerate(row) if e)
+
+
+@given(st.data(), FIELD_TOPS)
+@settings(max_examples=300, deadline=None)
+def test_int_order_is_a_canonical_key(data, top):
+    rows = data.draw(row_lists(exps=near(top), max_rows=6))
+    # often the same set of rows, repeated or reordered
+    row = st.sampled_from(rows) | st.tuples(*[near(top)] * len(rows[0]))
+    other = data.draw(st.lists(row, min_size=1, max_size=8))
+    fields = depth_mod._Fields(len(rows[0]), top)
+    key, other_key = (tuple(sorted(set(fields.pack(rs)))) for rs in (rows, other))
+    assert (key == other_key) == (set(rows) == set(other))
+    # ints compare as the rows read from the last variable back
+    assert key == tuple(fields.pack(sorted(set(rows), key=lambda r: r[::-1])))
+    if (0,) * len(rows[0]) in rows:
+        assert key[0] == 0  # the unit row sorts first
 
 
 @given(row_lists(nonzero=True, max_rows=6), st.sampled_from([2, 3]))
@@ -91,6 +185,31 @@ def test_depth_quotient_matches_betti_route(rows):
 def test_depth_quotient_matches_hochster_on_squarefree(rows):
     ideal = ideal_of(naive_minimal(rows))
     assert depth_quotient(ideal).depth == depth_oracle_hochster(ideal).depth
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_rows=4, max_vars=4))
+@settings(max_examples=150, deadline=None)
+def test_depth_quotient_is_unchanged_by_scaling_exponents(rows):
+    # x^a -> x^(ka) keeps the lcm lattice, so every Betti number and the
+    # depth; k = 64, 130 and 300 put the exponents past one and two bytes
+    depth = depth_quotient(ideal_of(rows)).depth
+    for k in (64, 130, 300):
+        scaled = [tuple(k * e for e in r) for r in rows]
+        assert depth_quotient(ideal_of(scaled)).depth == depth
+
+
+@pytest.mark.parametrize("e,k", [(127, 1), (128, 2), (255, 2), (256, 2)])
+def test_depth_quotient_at_field_boundaries(monkeypatch, e, k):
+    # for every e >= 2 these ideals have one lcm lattice, so one depth
+    def ideals(e):
+        return [ideal_of([(e, 0, 0), (1, 1, 0), (0, 2, 1)]),
+                ideal_of([(e, e, 0), (0, 1, 1), (1, 0, 2)]),
+                ideal_of([(e, 1, 0, 0), (0, e, 1, 0), (0, 0, e, 1), (1, 0, 0, e)])]
+    monkeypatch.setattr(depth_mod, "_ses_memo", {})
+    got = [depth_quotient(ideal).depth for ideal in ideals(e)]
+    assert {key[2] for key in depth_mod._ses_memo} == {k}
+    assert got == [depth_quotient(ideal).depth for ideal in ideals(2)]
+    assert got == [depth_via_betti(ideal).depth for ideal in ideals(2)]
 
 
 def test_depth_quotient_splits_free_variables_and_components():
