@@ -122,7 +122,11 @@ def cmd_depth(ideal_path, field_char, budget):
 @click.argument("ideal_path", type=click.Path(exists=True))
 @click.option("--certificate", "cert_path", type=click.Path(), default=None,
               help="write the witness interval partition here")
-@click.option("--start", type=int, default=None, help="lower-bound hint to seed the search")
+@click.option("--start", type=int, default=None,
+              help="lower-bound hint to seed the search; a hint above the "
+              "answer makes the first step a whole-poset infeasibility "
+              "search without up-set probes, which can run out of budget "
+              "where a lower hint answers")
 @click.option("--budget", type=float, default=None, help="time budget in seconds")
 def cmd_sdepth(ideal_path, cert_path, start, budget):
     """Exact Stanley depth of S/I; prints the value."""

@@ -82,10 +82,7 @@ class CharPoset:
     * ``digit[j][e]`` is the box-wide mask of the positions whose
       coordinate j equals e; ``below[j]`` is the union over e < g_j and
       ``above_zero[j]`` the union over e >= 1;
-    * ``rho[i]`` is the number of coordinates of point i at the cap;
-    * ``packed[i]`` holds each exponent e_j in a g_j-bit unary field, so
-      that point i lies below point k componentwise exactly when
-      ``not packed[i] & ~packed[k]``.
+    * ``rho[i]`` is the number of coordinates of point i at the cap.
 
     A region is an int with a bit set at the box position of each of its
     points.  The methods below work on whole regions: one step along
@@ -103,7 +100,7 @@ class CharPoset:
     """
 
     __slots__ = ("ambient", "g", "points", "stride", "volume", "box", "at",
-                 "digit", "below", "above_zero", "rho", "packed")
+                 "digit", "below", "above_zero", "rho")
 
     def __init__(self, ambient: VariableSet, g: tuple, points):
         init = object.__setattr__
@@ -130,12 +127,6 @@ class CharPoset:
         full = (1 << volume) - 1
         init(self, "below", tuple(full ^ dj[-1] for dj in digit))
         init(self, "above_zero", tuple(full ^ dj[0] for dj in digit))
-        unary, offset = [], 0
-        for gj in g:
-            unary.append([((1 << e) - 1) << offset for e in range(gj + 1)])
-            offset += gj
-        init(self, "packed",
-             tuple(sum(map(list.__getitem__, unary, a)) for a in pts))
         init(self, "rho", tuple(sum(map(eq, a, g)) for a in pts))
 
     def __setattr__(self, *a):
@@ -358,13 +349,14 @@ def sdepth_at_least(poset: CharPoset, d: int,
         return StanleyCertificate(poset.ambient, poset.g, 0,
                                   tuple((p, p) for p in pts))
 
-    rho, packed = poset.rho, poset.packed
+    rho = poset.rho
 
     # tops sorted by degree descending: largest interval first
     top_ids = sorted((i for i in range(len(pts)) if rho[i] >= d),
                      key=lambda i: -sum(pts[i]))
     if not top_ids:
         return None
+    top_rank = {ti: r for r, ti in enumerate(top_ids)}
     top_mask = poset.mask(top_ids)
     nbytes = (poset.volume + 7) // 8
     point_bits = np.array(poset.box)
@@ -380,39 +372,28 @@ def sdepth_at_least(poset: CharPoset, d: int,
     tops_cache: dict[int, list[int]] = {}
     memo: dict[bytes, tuple | None] = {}
 
-    def key_of(region):
-        """The region with one bit per point, point i at bit i & 7 of byte
-        i >> 3: the memo key, and the table for single-point membership.
-        The box can hold several times more positions than the poset has
-        points, and shifting a whole region to test one bit is slow."""
+    def flags(region):
+        """The region read out per point: entry i is 1 when it holds point
+        i.  The box can hold several times more positions than the poset
+        has points, and shifting a whole region to test one bit is slow."""
         bits = np.unpackbits(np.frombuffer(region.to_bytes(nbytes, "little"),
                                            np.uint8), bitorder="little")
-        return np.packbits(bits[point_bits], bitorder="little").tobytes()
+        return bits[point_bits]
+
+    def key_of(region):
+        """The region with one bit per point, point i at bit i & 7 of byte
+        i >> 3: the memo key, and the table for single-point membership."""
+        return np.packbits(flags(region), bitorder="little").tobytes()
 
     def tops_of(i):
+        """The tops above point i, in ``top_ids`` order."""
         cached = tops_cache.get(i)
         if cached is None:
-            ppk = packed[i]
-            cached = [ti for ti in top_ids if not ppk & ~packed[ti]]
+            above = flags(poset.cube(pts[i], poset.g) & top_mask)
+            cached = sorted(np.flatnonzero(above).tolist(),
+                            key=top_rank.__getitem__)
             tops_cache[i] = cached
         return cached
-
-    def has_saturating_matching(lives):
-        """Distinct intervals end at distinct tops, and every minimal point
-        of the region bottoms its own interval, so the minimal points must
-        match injectively into their live tops, listed in ``lives``."""
-        matched: dict[int, int] = {}
-
-        def augment(k, seen):
-            for t in lives[k]:
-                if t not in seen:
-                    seen.add(t)
-                    if t not in matched or augment(matched[t], seen):
-                        matched[t] = k
-                        return True
-            return False
-
-        return all(augment(k, set()) for k in range(len(lives)))
 
     def solve(region: int):
         """Interval partition of one connected uncovered region, or None.
@@ -439,16 +420,14 @@ def sdepth_at_least(poset: CharPoset, d: int,
         if deadline is not None and nodes % 64 == 0 and time.monotonic() > deadline:
             raise ResourceCapError("interval partition search exceeded time budget")
         # liveness: every point needs a top-capable point above it inside
-        # the region, so every point that is not one needs a cover above
+        # the region, so every point that is not one needs a cover above;
+        # climbing covers from any point then ends at a live top above it
         if region & ~(top_mask | poset.has_up(region)):
             memo[key] = None
             return None
         minimals = poset.minimal(region)
         lives = [[ti for ti in tops_of(i) if key[ti >> 3] >> (ti & 7) & 1]
                  for i in minimals]
-        if not all(lives) or not has_saturating_matching(lives):
-            memo[key] = None
-            return None
         i, live = min(zip(minimals, lives), key=lambda il: len(il[1]))
         p = pts[i]
         for ti in live:
@@ -528,6 +507,13 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
     exhausts its region.  The certificate's ``refuted_by`` names the up-set
     that refuted d = answer + 1.  ``max_nodes`` caps each step, probes
     included; ``budget_s`` covers the whole call.
+
+    A ``start`` above the answer makes the first step an infeasibility
+    proof without probes.  At start = answer + 1 that is the step the
+    probes would settle: at ``max_nodes=1000`` it caps on the squares of
+    P233, P322, S310 and P331 at start 3 and of P332 at start 4, all of
+    which answer from their closed-form bound.  A start two or more above
+    the answer reaches answer + 1 descending, with probes.
     """
     poset = char_poset(ideal, cap=cap)
     n = len(poset.ambient)

@@ -175,7 +175,9 @@ def test_ideal_power_matches_naive_products(rows, t):
 @given(row_lists(nonzero=True, max_rows=6))
 @settings(max_examples=150, deadline=None)
 def test_depth_quotient_matches_betti_route(rows):
-    # depth_quotient gets the raw, possibly non-minimal generators
+    # rows may repeat or divide one another: MonomialIdeal minimalizes them
+    # before depth_quotient sees them, and the Betti route gets the test's
+    # own naive_minimal of them, so both routes see the same ideal
     expected = depth_via_betti(ideal_of(naive_minimal(rows))).depth
     assert depth_quotient(ideal_of(rows)).depth == expected
 
@@ -388,8 +390,6 @@ def test_char_poset_structure_matches_brute_force(rows):
                 assert shifted & region == expected
     for i, a in enumerate(pts):
         assert poset.rho[i] == sum(1 for x, gi in zip(a, g) if x == gi)
-        for k, b in enumerate(pts):
-            assert (not poset.packed[i] & ~poset.packed[k]) == leq(a, b)
 
 
 def hasse_components(region_pts) -> list[set]:
@@ -438,6 +438,8 @@ def test_region_operations_match_brute_force(rows, data):
     b = data.draw(st.sampled_from([c for c in box_points(g) if leq(a, c)]))
     assert poset.cube(a, b) == region_of(
         c for c in box_points(g) if leq(a, c) and leq(c, b))
+    # the up-set of a in the box, which the search reads tops from
+    assert poset.cube(a, g) == region_of(c for c in box_points(g) if leq(a, c))
 
 
 @given(row_lists(max_exp=2, max_vars=5))
@@ -569,7 +571,7 @@ def test_char_poset_is_read_only():
     with pytest.raises(TypeError):
         poset.at[0] = 0
     for name in ("g", "points", "stride", "box", "digit", "below",
-                 "above_zero", "rho", "packed"):
+                 "above_zero", "rho"):
         assert isinstance(getattr(poset, name), tuple), name
     assert all(isinstance(dj, tuple) for dj in poset.digit)
 

@@ -145,9 +145,9 @@ def test_search_node_counts_on_square_of_p22(p22_ideal):
     poset = char_poset(ideal_power(p22_ideal, 2))
     limit = sys.getrecursionlimit()
     with pytest.raises(ResourceCapError):
-        sdepth_at_least(poset, 2, max_nodes=127)
+        sdepth_at_least(poset, 2, max_nodes=137)
     assert sys.getrecursionlimit() == limit  # restored on the way out
-    assert sdepth_at_least(poset, 2, max_nodes=128) is None
+    assert sdepth_at_least(poset, 2, max_nodes=138) is None
     with pytest.raises(ResourceCapError):
         sdepth_at_least(poset, 1, max_nodes=6)
     cert = sdepth_at_least(poset, 1, max_nodes=7)
@@ -159,21 +159,21 @@ def test_search_node_counts_on_square_of_p232():
     # in (degree, lex) order of their first points
     poset = char_poset(family_ideal("caterpillar", (2, 3, 2), 2))
     with pytest.raises(ResourceCapError):
-        sdepth_at_least(poset, 2, max_nodes=11)
-    cert = sdepth_at_least(poset, 2, max_nodes=12)
+        sdepth_at_least(poset, 2, max_nodes=13)
+    cert = sdepth_at_least(poset, 2, max_nodes=14)
     assert cert is not None and verify_certificate(poset, cert)
 
 
 def test_up_set_probe_nodes_count_against_the_cap():
     # on P233^2 the whole-poset search at d = 3 caps at 1000 nodes; the
-    # probes refute it in 10 nodes, counted on the same node cap
+    # probes refute it in 13 nodes, counted on the same node cap
     poset = char_poset(family_ideal("caterpillar", (2, 3, 3), 2))
     with pytest.raises(ResourceCapError):
         sdepth_at_least(poset, 3, max_nodes=1000)
     with pytest.raises(ResourceCapError):
-        sdepth_at_least(poset, 3, max_nodes=9, _refuted=[])
+        sdepth_at_least(poset, 3, max_nodes=12, _refuted=[])
     refuted = []
-    assert sdepth_at_least(poset, 3, max_nodes=10, _refuted=refuted) is None
+    assert sdepth_at_least(poset, 3, max_nodes=13, _refuted=refuted) is None
     assert refuted == [(1, 1, 0, 0, 0, 0)]
 
 
