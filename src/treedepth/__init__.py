@@ -9,6 +9,7 @@ closed-form lower bounds.
 
 __version__ = "0.1.0"
 
+from . import bounds, depth, sdepth
 from .bounds import (BoundReport, bound_caterpillar, bound_lobster,
                      bound_prior_forest, compare)
 from .depth import (BettiTable, DepthResult, betti_numbers,
@@ -30,10 +31,23 @@ __all__ = [
     "ParameterError", "ResourceCapError",
     "StanleyCertificate", "UnknownVariableError", "VariableSet",
     "betti_numbers", "bound_caterpillar", "bound_lobster",
-    "bound_prior_forest", "build_caterpillar", "build_lobster", "char_poset",
-    "colon", "compare", "depth_oracle_hochster", "depth_quotient",
+    "bound_prior_forest", "build_caterpillar", "build_lobster", "cache_info",
+    "char_poset", "colon", "compare", "depth_oracle_hochster", "depth_quotient",
     "depth_via_betti", "disjoint_sum", "edge_ideal", "extend_ambient",
     "graph_stats", "hochster_betti_table", "ideal_power", "lcm_lattice",
     "minimalize", "polarize", "restrict", "sdepth_at_least",
     "sdepth_quotient", "sum_with_vars", "verify_certificate",
 ]
+
+
+def cache_info() -> dict:
+    """Counts of the per-process caches, each a dict of ``hits``,
+    ``misses``, ``evictions`` and the ``size`` it holds: ``poset``
+    (:func:`char_poset`, points held), ``sdepth`` (:func:`sdepth_quotient`
+    results, certificate intervals held), ``stats`` (graph statistics in
+    :func:`compare`, entries held) and ``depth`` (the depth memo, entries
+    held)."""
+    return {"poset": sdepth._poset_cache.info(),
+            "sdepth": sdepth._result_cache.info(),
+            "stats": bounds.stats_info(),
+            "depth": depth.memo_info()}

@@ -10,10 +10,11 @@ parity-gated division is asserted exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (ParameterError, ResourceCapError, deadline_after,
                      seconds_left)
-from .graphs import build_caterpillar, build_lobster, graph_stats
+from .graphs import GraphStats, build_caterpillar, build_lobster, graph_stats
 
 
 def _exact_half(value: int) -> int:
@@ -111,28 +112,51 @@ class BoundReport:
         return out
 
 
+def _graph(family: str, params: tuple):
+    build = build_caterpillar if family == "caterpillar" else build_lobster
+    return build(*params)
+
+
+@lru_cache
+def _family_stats(family: str, params: tuple) -> GraphStats:
+    """Statistics of one family instance, cached per process (frozen, so
+    safe to share); only reached with parameters a bound has accepted."""
+    return graph_stats(_graph(family, params))
+
+
+def stats_info() -> dict:
+    """Hits, misses and evictions of the graph-statistics cache, and the
+    entries it holds.  Every miss adds an entry, so the evictions are the
+    misses not held."""
+    info = _family_stats.cache_info()
+    return {"hits": info.hits, "misses": info.misses,
+            "evictions": info.misses - info.currsize, "size": info.currsize}
+
+
 def compare(family: str, params: tuple, t: int, compute_exact: bool = False,
             budget_s: float | None = None, field_char: int = 32003) -> BoundReport:
     """Evaluate the new bound against the prior forest bounds for one family
     instance; optionally compute the exact depth and Stanley depth.
 
     Graph statistics feeding the prior bounds come from graph_stats, never
-    from hand-entered values.  Resource exhaustion during exact computation
-    is recorded as a capped field, not raised.
+    from hand-entered values.  They are cached per process for each
+    ``(family, params)`` once the new bound has accepted the parameters, so
+    a repeated instance builds no graph unless ``compute_exact`` is set.
+    Resource exhaustion during exact computation is recorded as a capped
+    field, not raised.
     """
+    params = tuple(params)
     if family == "caterpillar":
         n, k, l = params
-        graph = build_caterpillar(n, k, l)
         new_bound = bound_caterpillar(n, k, l, t)
     elif family == "lobster":
         r, p, q = params
-        graph = build_lobster(r, p, q)
         new_bound = bound_lobster(r, p, q, t)
     else:
         raise ParameterError(f"unknown family {family!r}")
-    stats = graph_stats(graph)
+    stats = _family_stats(family, params)
     report = BoundReport(
-        family=family, params=tuple(params), t=t, new_bound=new_bound,
+        family=family, params=params, t=t, new_bound=new_bound,
         prior_diam_bound=bound_prior_forest(stats.diameter, stats.components, t),
         prior_nearleaf_bound=bound_prior_forest(stats.diameter, stats.components,
                                                 t, stats.near_leaves),
@@ -146,7 +170,8 @@ def compare(family: str, params: tuple, t: int, compute_exact: bool = False,
 
     deadline = deadline_after(budget_s)
     try:
-        ideal = ideal_power(edge_ideal(graph), t, deadline=deadline)
+        ideal = ideal_power(edge_ideal(_graph(family, params)), t,
+                            deadline=deadline)
     except ResourceCapError:
         report.depth_capped = True
         report.sdepth_capped = True

@@ -406,13 +406,23 @@ def _boundary_rank(faces, lower, p: int, deadline=None) -> int:
 # pass, the largest user, leaves 2487 entries (about 1.6 MB pickled).
 _SES_MEMO_CAP = 20_000
 _ses_memo: dict = {}
+# lookups that found an entry and that did not, and entries dropped; plain
+# increments, as the memo itself takes no lock
+_ses_counts = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _remember(key, d: int) -> int:
     _ses_memo[key] = d
     if len(_ses_memo) > _SES_MEMO_CAP:
         del _ses_memo[next(iter(_ses_memo))]
+        _ses_counts["evictions"] += 1
     return d
+
+
+def memo_info() -> dict:
+    """Hits, misses and evictions of the depth memo, and the entries it
+    holds."""
+    return {**_ses_counts, "size": len(_ses_memo)}
 
 
 class _Fields:
@@ -539,7 +549,9 @@ def _depth_rec(rows, nvars, fields, p, deadline) -> int:
     key = (rows, nvars, fields.k, p)
     hit = _ses_memo.get(key)
     if hit is not None:
+        _ses_counts["hits"] += 1
         return hit
+    _ses_counts["misses"] += 1
     check_deadline(deadline)
 
     masks = fields.supports(rows)
@@ -616,7 +628,9 @@ def depth_quotient(ideal: MonomialIdeal, field_char: int = 32003,
     fields = _Fields(n, top if top < 128 else max(map(max, rows)))
     packed = tuple(sorted(fields.pack(rows)))
     d = _ses_memo.get((packed, n, fields.k, field_char))
-    if d is None:  # a memo hit needs neither the degree sum nor the room
+    if d is not None:
+        _ses_counts["hits"] += 1
+    else:  # a memo hit needs neither the degree sum nor the room
         with recursion_limit(20 * sum(map(sum, rows)) + 10000):
             d = _depth_rec(packed, n, fields, field_char, deadline)
     return DepthResult(d, n - d, n, field_char, "ses_splitting")

@@ -89,7 +89,7 @@ class CharPoset:
     coordinate j is a shift by stride[j], masked so that it cannot wrap
     into the next coordinate.  Nothing here is a per-point mask, so memory
     stays linear in the number of points and in the box volume.
-    :func:`verify_certificate` reads only ``points`` and ``g``.
+    :func:`verify_certificate` reads only ``ambient``, ``points`` and ``g``.
 
     :func:`char_poset` caches posets per process under a bound on the
     points held and hands the same instance to every caller, so an
@@ -214,12 +214,80 @@ class CharPoset:
         return out
 
 
-# Posets built by char_poset, keyed by (ambient, generator rows), least
-# recently used first.  Eviction keeps the points held at most
-# _POSET_CACHE_POINTS; a poset larger than that is never kept.
+# what each cache below may hold: posets by their points, Stanley-depth
+# results by their certificate intervals
 _POSET_CACHE_POINTS = 1 << 14
-_poset_cache: OrderedDict = OrderedDict()
-_poset_cache_lock = threading.Lock()
+
+
+class _Lru:
+    """Entries kept least recently used first, under a bound on their total
+    size: ``size(value)`` measures one entry, eviction keeps the total at
+    most ``_POSET_CACHE_POINTS``, and a value larger than that is never
+    kept.  Every cache shares one lock; the counts feed
+    :func:`treedepth.cache_info`."""
+
+    _lock = threading.Lock()
+
+    def __init__(self, size):
+        self.size = size
+        self.entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def get(self, key):
+        """The value kept under ``key``, or None."""
+        with self._lock:
+            value = self.entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self.entries.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        """Keep ``value`` under ``key``; returns the value kept there, which
+        is an equal one when another thread kept the same key meanwhile."""
+        if self.size(value) > _POSET_CACHE_POINTS:
+            return value
+        with self._lock:
+            value = self.entries.setdefault(key, value)
+            self.entries.move_to_end(key)
+            held = self._held()
+            while held > _POSET_CACHE_POINTS:
+                held -= self.size(self.entries.popitem(last=False)[1])
+                self.evictions += 1
+        return value
+
+    def _held(self) -> int:
+        return sum(map(self.size, self.entries.values()))
+
+    def info(self) -> dict:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions, "size": self._held()}
+
+
+# keyed by (ambient, generator rows), sized by points
+_poset_cache = _Lru(len)
+
+
+def _box(ideal: MonomialIdeal, cap: int | None) -> tuple:
+    """The poset's cap g, the componentwise maximum of the generator
+    exponents, once the ideal is proper and the box [0, g] fits under
+    ``cap`` (default 2^20, overridable via TREEDEPTH_CAP)."""
+    if not ideal.is_proper():
+        raise ParameterError("characteristic poset needs a proper ideal")
+    cap = _env_cap(DEFAULT_BOX_CAP) if cap is None else cap
+    rows = ideal.rows
+    g = tuple(max((r[i] for r in rows), default=0)
+              for i in range(ideal.num_vars()))
+    volume = 1
+    for e in g:
+        volume *= e + 1
+        if volume > cap:
+            raise ResourceCapError(
+                f"characteristic poset box exceeds cap ({volume} > {cap})")
+    return g
 
 
 def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
@@ -232,24 +300,13 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
     proper-ideal and box checks run on every call, so a cached poset is
     returned only when a fresh build would have been.
     """
-    if not ideal.is_proper():
-        raise ParameterError("characteristic poset needs a proper ideal")
-    cap = _env_cap(DEFAULT_BOX_CAP) if cap is None else cap
-    n = ideal.num_vars()
+    g = _box(ideal, cap)
+    n = len(g)
     rows = ideal.rows
-    g = tuple(max((r[i] for r in rows), default=0) for i in range(n))
-    volume = 1
-    for e in g:
-        volume *= e + 1
-        if volume > cap:
-            raise ResourceCapError(
-                f"characteristic poset box exceeds cap ({volume} > {cap})")
     key = (ideal.ambient, rows)
-    with _poset_cache_lock:
-        poset = _poset_cache.get(key)
-        if poset is not None:
-            _poset_cache.move_to_end(key)
-            return poset
+    poset = _poset_cache.get(key)
+    if poset is not None:
+        return poset
 
     # Level by level: x^b lies outside I exactly when b is not a generator
     # and every lower cover of b lies outside I.  Points are tracked by box
@@ -278,17 +335,7 @@ def char_poset(ideal: MonomialIdeal, cap: int | None = None) -> CharPoset:
         points.extend(b for b, _, _ in nxt)
         outside.update(q for _, q, _ in nxt)
         level = nxt
-    poset = CharPoset(ideal.ambient, g, points)
-    if len(poset) > _POSET_CACHE_POINTS:
-        return poset
-    with _poset_cache_lock:
-        # another thread may have cached the same key meanwhile
-        poset = _poset_cache.setdefault(key, poset)
-        _poset_cache.move_to_end(key)
-        held = sum(map(len, _poset_cache.values()))
-        while held > _POSET_CACHE_POINTS:
-            held -= len(_poset_cache.popitem(last=False)[1])
-    return poset
+    return _poset_cache.put(key, CharPoset(ideal.ambient, g, points))
 
 
 @dataclass(frozen=True)
@@ -493,6 +540,11 @@ def sdepth_at_least(poset: CharPoset, d: int,
     return StanleyCertificate(poset.ambient, poset.g, d, tuple(intervals))
 
 
+# keyed by (ambient, generator rows, normalized start, max_nodes), sized by
+# certificate intervals
+_result_cache = _Lru(lambda hit: len(hit[1].intervals))
+
+
 def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
                     max_nodes: int | None = None,
                     budget_s: float | None = None,
@@ -514,10 +566,32 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
     P233, P322, S310 and P331 at start 3 and of P332 at start 4, all of
     which answer from their closed-form bound.  A start two or more above
     the answer reaches answer + 1 descending, with probes.
+
+    Answers are cached per process under a bound on the certificate
+    intervals held, keyed by the variables, the generators, ``start``
+    clamped to [0, n] and ``max_nodes``, since the certificate can depend
+    on the first and whether a call caps on the second.  A hit returns the
+    same value and certificate as a cold call with those arguments.  The
+    proper-ideal check, the box check against ``cap`` and the budget check
+    run on every call, so a spent budget raises on a hit too; a capped
+    call keeps nothing and caps again.
     """
-    poset = char_poset(ideal, cap=cap)
-    n = len(poset.ambient)
+    n = len(_box(ideal, cap))
     deadline = deadline_after(budget_s)
+    seconds_left(deadline)
+    d = min(max(start or 0, 0), n)
+    key = (ideal.ambient, ideal.rows, d, max_nodes)
+    hit = _result_cache.get(key)
+    if hit is not None:
+        return hit
+    found = _search(char_poset(ideal, cap=cap), d, max_nodes, deadline)
+    return _result_cache.put(key, found)
+
+
+def _search(poset: CharPoset, d: int, max_nodes: int | None,
+            deadline: float | None) -> tuple[int, StanleyCertificate]:
+    """The search of :func:`sdepth_quotient` from ``d``."""
+    n = len(poset.ambient)
 
     def step(e, probes=True):
         """The certificate at e and None, or None and the refuting point."""
@@ -529,7 +603,6 @@ def sdepth_quotient(ideal: MonomialIdeal, start: int | None = None,
             return found, None
         return None, refuted[0] if refuted else (0,) * n
 
-    d = min(max(start or 0, 0), n)
     best, witness = step(d, probes=False)
     if best is None:
         # descend to the first feasible d (d = 0 always is); the step above

@@ -7,6 +7,16 @@ import pytest
 from treedepth import (Monomial, ResourceCapError, VariableSet,
                        build_caterpillar, build_lobster, char_poset, colon,
                        edge_ideal, ideal_power, minimalize, sdepth_at_least)
+from treedepth import sdepth as sdepth_mod
+
+
+@pytest.fixture(autouse=True)
+def fresh_result_cache(monkeypatch):
+    """An empty Stanley-depth result cache for every test, so a test that
+    counts searches sees them run, whatever ran before it."""
+    monkeypatch.setattr(sdepth_mod, "_result_cache",
+                        sdepth_mod._Lru(sdepth_mod._result_cache.size))
+    return sdepth_mod._result_cache
 
 
 def mk_ideal(varnames, *gen_dicts):

@@ -3,7 +3,22 @@ import time
 import pytest
 
 from treedepth import (ParameterError, bound_caterpillar, bound_lobster,
-                       bound_prior_forest, compare)
+                       bound_prior_forest, build_caterpillar, build_lobster,
+                       compare, graph_stats)
+from treedepth import bounds as bounds_mod
+from conftest import caterpillar_grid, lobster_grid
+
+# the family instances of the benchmark's query-mix catalog
+QUERY_MIX_INSTANCES = (
+    ("caterpillar", (20, 5, 5)), ("lobster", (30, 3, 2)),
+    ("lobster", (55, 3, 3)), ("caterpillar", (30, 6, 6)),
+    ("lobster", (20, 2, 2)), ("caterpillar", (50, 10, 10)),
+    ("caterpillar", (6, 4, 4)), ("caterpillar", (5, 3, 3)),
+    ("lobster", (7, 3, 3)), ("caterpillar", (4, 4, 4)),
+    ("caterpillar", (8, 3, 3)), ("lobster", (5, 2, 2)),
+    ("caterpillar", (7, 2, 2)), ("lobster", (4, 2, 2)),
+    ("caterpillar", (4, 3, 3)), ("caterpillar", (6, 2, 2)),
+)
 
 
 def caterpillar_power_formula(n, k, l, t):
@@ -191,3 +206,36 @@ def test_report_csv_dict_shape():
     assert d["new_bound"] == bound_lobster(4, 2, 1, 2)
     assert d["status"] == "ok"
     assert "n" not in d
+
+
+def test_cached_graph_stats_equal_a_fresh_build():
+    instances = (QUERY_MIX_INSTANCES
+                 + tuple(("caterpillar", p) for p in caterpillar_grid())
+                 + tuple(("lobster", p) for p in lobster_grid()))
+    for family, params in instances:
+        build = build_caterpillar if family == "caterpillar" else build_lobster
+        fresh = graph_stats(build(*params))
+        for _ in range(2):  # a miss, then a hit
+            assert bounds_mod._family_stats(family, params) == fresh, params
+
+
+def test_compare_builds_a_graph_only_for_exact_values(monkeypatch):
+    first = compare("lobster", (6, 2, 1), 2)
+
+    def refuse(*args):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(bounds_mod, "build_lobster", refuse)
+    assert compare("lobster", (6, 2, 1), 2) == first
+    assert compare("lobster", (6, 2, 1), 3).prior_diam_bound == 1
+    with pytest.raises(AssertionError, match="graph built"):
+        compare("lobster", (6, 2, 1), 2, compute_exact=True)
+
+
+def test_bad_parameters_are_never_cached():
+    before = bounds_mod.stats_info()
+    for family, params in (("caterpillar", (0, 3, 3)), ("caterpillar", (1, 3, 2)),
+                           ("lobster", (1, 2, 2)), ("lobster", (3, 2, 3))):
+        with pytest.raises(ParameterError):
+            compare(family, params, 1)
+    assert bounds_mod.stats_info() == before

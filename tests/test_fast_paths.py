@@ -9,7 +9,9 @@ out in full and share no code with the kernel.
 """
 
 import re
+import sys
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, combinations_with_replacement, product
 from operator import sub
 
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from treedepth import (CharPoset, Graph, MonomialIdeal,
                        ParameterError, ResourceCapError, VariableSet,
-                       betti_numbers, char_poset, depth_oracle_hochster,
+                       betti_numbers, cache_info, char_poset, compare,
+                       depth_oracle_hochster,
                        depth_quotient, depth_via_betti, graph_stats,
                        ideal_power, lcm_lattice, sdepth_at_least,
                        sdepth_quotient, verify_certificate)
@@ -463,10 +466,10 @@ def test_char_poset_points_match_box_filtered_by_divisibility(rows):
 
 
 def fresh_poset_cache(monkeypatch, points=None) -> OrderedDict:
-    monkeypatch.setattr(sdepth_mod, "_poset_cache", OrderedDict())
+    monkeypatch.setattr(sdepth_mod, "_poset_cache", sdepth_mod._Lru(len))
     if points is not None:
         monkeypatch.setattr(sdepth_mod, "_POSET_CACHE_POINTS", points)
-    return sdepth_mod._poset_cache
+    return sdepth_mod._poset_cache.entries
 
 
 def test_equal_ideals_share_one_cached_poset(monkeypatch):
@@ -552,11 +555,125 @@ def test_cached_poset_equals_a_cold_build(rows):
             pass
     assert char_poset(ideal_of(gens)) is warm
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdepth_mod, "_poset_cache", OrderedDict())
+        mp.setattr(sdepth_mod, "_poset_cache", sdepth_mod._Lru(len))
         cold = char_poset(ideal_of(gens))
     assert cold is not warm
     for name in CharPoset.__slots__:
         assert getattr(warm, name) == getattr(cold, name), name
+
+
+def cold_sdepth(ideal, **kwargs):
+    """``sdepth_quotient`` with an empty result cache; None when it caps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdepth_mod, "_result_cache",
+                   sdepth_mod._Lru(sdepth_mod._result_cache.size))
+        try:
+            return sdepth_quotient(ideal, **kwargs)
+        except ResourceCapError:
+            return None
+
+
+@given(row_lists(max_exp=2, nonzero=True, max_vars=4), st.integers(-1, 5),
+       st.sampled_from([None, 2, 40]))
+@settings(max_examples=100, deadline=None)
+def test_sdepth_result_hit_equals_a_cold_call(rows, start, max_nodes):
+    ideal = ideal_of(naive_minimal(rows))
+    calls = []
+    for _ in range(2):
+        try:
+            calls.append(sdepth_quotient(ideal, start=start, max_nodes=max_nodes))
+        except ResourceCapError:
+            calls.append(None)
+    cold = cold_sdepth(ideal, start=start, max_nodes=max_nodes)
+    if cold is None:
+        assert calls == [None, None]
+        return
+    first, hit = calls
+    assert hit is first
+    assert hit[0] == cold[0]
+    assert hit[1].to_json() == cold[1].to_json()
+    assert hit[1].refuted_by == cold[1].refuted_by
+
+
+def test_sdepth_result_key_clamps_start(fresh_result_cache):
+    ideal = family_ideal("caterpillar", (2, 2, 2), 2)  # 4 variables
+    first = sdepth_quotient(ideal)
+    assert sdepth_quotient(ideal, start=0) is first
+    assert sdepth_quotient(ideal, start=-3) is first
+    top = sdepth_quotient(ideal, start=4)
+    assert sdepth_quotient(ideal, start=9) is top
+    assert sdepth_quotient(ideal, max_nodes=10 ** 6) is not first
+    assert len(fresh_result_cache.entries) == 3
+
+
+def test_capped_sdepth_keeps_nothing_and_caps_again(fresh_result_cache):
+    ideal = family_ideal("caterpillar", (2, 2, 2), 2)  # sdepth 1
+    for _ in range(2):
+        with pytest.raises(ResourceCapError, match="node cap"):
+            sdepth_quotient(ideal, start=2, max_nodes=1)
+    assert not fresh_result_cache.entries
+    assert fresh_result_cache.info()["misses"] == 2
+    # the same start with room to finish answers, and is kept
+    assert sdepth_quotient(ideal, start=2)[0] == 1
+    assert len(fresh_result_cache.entries) == 1
+    # and the answer kept without a cap does not answer a capped call
+    with pytest.raises(ResourceCapError, match="node cap"):
+        sdepth_quotient(ideal, start=2, max_nodes=1)
+
+
+def test_sdepth_result_cache_stays_under_its_bound(monkeypatch, fresh_result_cache):
+    monkeypatch.setattr(sdepth_mod, "_POSET_CACHE_POINTS", 12)
+    cache = fresh_result_cache.entries
+
+    def held():
+        return sum(len(cert.intervals) for _, cert in cache.values())
+
+    for _ in range(2):
+        for params, t in (((2, 2, 2), 2), ((2, 2, 1), 2), ((3, 2, 2), 1),
+                          ((3, 2, 1), 2), ((2, 2, 2), 1)):
+            found = sdepth_quotient(family_ideal("caterpillar", params, t))
+            assert held() <= 12
+            # P321^2's certificate has 10 intervals and is kept
+            kept = cache[next(reversed(cache))] is found
+            assert kept == (len(found[1].intervals) <= 12)
+    assert fresh_result_cache.info()["evictions"] > 0
+
+
+def test_threads_asking_for_one_key_get_one_result(fresh_result_cache):
+    ideal = family_ideal("lobster", (3, 2, 2))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(sdepth_quotient, ideal, start=1)
+                       for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r is results[0] for r in results)
+    assert results[0][0] == 3
+    assert len(fresh_result_cache.entries) == 1
+    info = fresh_result_cache.info()
+    assert info["hits"] + info["misses"] == 4
+
+
+def test_cache_info_counts_a_hit_in_every_cache():
+    ideal = family_ideal("caterpillar", (2, 2, 2), 2)
+
+    def ask():
+        compare("caterpillar", (2, 2, 2), 2)
+        char_poset(ideal)
+        sdepth_quotient(ideal)
+        depth_quotient(ideal)
+
+    ask()
+    before = cache_info()
+    ask()
+    after = cache_info()
+    for name in ("poset", "sdepth", "stats", "depth"):
+        assert after[name]["hits"] > before[name]["hits"], name
+        assert after[name]["misses"] == before[name]["misses"], name
+        assert after[name]["size"] == before[name]["size"] > 0, name
 
 
 def test_char_poset_is_read_only():

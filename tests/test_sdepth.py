@@ -6,7 +6,7 @@ import pytest
 from treedepth import (Monomial, MonomialIdeal, ParameterError,
                        ResourceCapError, StanleyCertificate, VariableSet,
                        bound_caterpillar, bound_lobster, char_poset,
-                       depth_quotient, disjoint_sum, extend_ambient,
+                       compare, depth_quotient, disjoint_sum, extend_ambient,
                        ideal_power, minimalize, sdepth_at_least,
                        sdepth_quotient, verify_certificate)
 from treedepth import sdepth as sdepth_mod
@@ -260,6 +260,18 @@ def test_search_time_budget():
     ideal = family_ideal("caterpillar", (4, 4, 4))
     with pytest.raises(ResourceCapError):
         sdepth_quotient(ideal, start=8, budget_s=0.0)
+
+
+def test_spent_budget_raises_on_a_cached_result(fresh_result_cache):
+    # compare solves the key the budget test asks for: P444 from start 8
+    assert compare("caterpillar", (4, 4, 4), 1, compute_exact=True).exact_sdepth == 8
+    assert len(fresh_result_cache.entries) == 1
+    with pytest.raises(ResourceCapError, match="time budget"):
+        sdepth_quotient(family_ideal("caterpillar", (4, 4, 4)), start=8,
+                        budget_s=0.0)
+    assert sdepth_quotient(family_ideal("caterpillar", (4, 4, 4)), start=8,
+                           budget_s=60.0)[0] == 8
+    assert fresh_result_cache.info()["hits"] == 1
 
 
 # ---------------------------------------------------------------------------
