@@ -562,29 +562,23 @@ def test_cached_poset_equals_a_cold_build(rows):
         assert getattr(warm, name) == getattr(cold, name), name
 
 
-def cold_sdepth(ideal, **kwargs):
-    """``sdepth_quotient`` with an empty result cache; None when it caps."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdepth_mod, "_result_cache",
-                   sdepth_mod._Lru(sdepth_mod._result_cache.size))
-        try:
-            return sdepth_quotient(ideal, **kwargs)
-        except ResourceCapError:
-            return None
-
-
 @given(row_lists(max_exp=2, nonzero=True, max_vars=4), st.integers(-1, 5),
        st.sampled_from([None, 2, 40]))
 @settings(max_examples=100, deadline=None)
 def test_sdepth_result_hit_equals_a_cold_call(rows, start, max_nodes):
     ideal = ideal_of(naive_minimal(rows))
-    calls = []
-    for _ in range(2):
+
+    def call():
         try:
-            calls.append(sdepth_quotient(ideal, start=start, max_nodes=max_nodes))
+            return sdepth_quotient(ideal, start=start, max_nodes=max_nodes)
         except ResourceCapError:
-            calls.append(None)
-    cold = cold_sdepth(ideal, start=start, max_nodes=max_nodes)
+            return None
+
+    calls = [call(), call()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdepth_mod, "_result_cache",
+                   sdepth_mod._Lru(sdepth_mod._result_cache.size))
+        cold = call()
     if cold is None:
         assert calls == [None, None]
         return
